@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
+from .graph import min_degree_peel
 from .model import GREEN, BLUE, SignedTreeModel, is_clean
 
 __all__ = [
@@ -164,10 +165,13 @@ def width_bound(m: int) -> int:
 
 @dataclass(frozen=True)
 class Orientation:
-    """Pair ownership along a degeneracy peel of the pair graph.
+    """Pair ownership along the smallest-last peel of the pair graph.
 
-    Each pair is owned by the endpoint peeled earlier, so per-node owned
-    counts are bounded by the peel's degeneracy.
+    ``order`` is the peel order of :func:`graph.min_degree_peel`: least
+    remaining degree first, ties to the smallest node id.  ``owner`` maps
+    each normalized pair (a, b), a < b, to the endpoint peeled earlier, so
+    a node owns exactly its degree at removal and ``max_outdegree`` is the
+    pair graph's degeneracy.
     """
 
     owner: dict
@@ -176,37 +180,30 @@ class Orientation:
 
 
 def orient_low_outdegree(nodes, pairs) -> Orientation:
-    nodes = list(nodes)
+    """Orient every pair towards its endpoint peeled earlier.
+
+    ``pairs`` may repeat a pair in either orientation; both endpoints must
+    be in ``nodes``, which may also hold isolated nodes.  Runs
+    :func:`graph.min_degree_peel`: O((N + M) log N) for N nodes and M
+    distinct pairs.
+    """
     adj = {u: set() for u in nodes}
-    plist = []
     for a, b in pairs:
-        p = (a, b) if a <= b else (b, a)
-        if p[0] == p[1]:
-            raise ValueError(f"degenerate pair {p}")
+        if a == b:
+            raise ValueError(f"degenerate pair {(a, b)}")
+        if a not in adj or b not in adj:
+            raise ValueError(f"pair {(a, b)} has an endpoint outside the node set")
         adj[a].add(b)
         adj[b].add(a)
-        plist.append(p)
-    plist = sorted(set(plist))
-    deg = {u: len(adj[u]) for u in nodes}
-    alive = set(nodes)
-    order = []
-    rank = {}
-    while alive:
-        u = min(alive, key=lambda v: (deg[v], v))
-        rank[u] = len(order)
-        order.append(u)
-        alive.remove(u)
-        for w in adj[u]:
-            if w in alive:
-                deg[w] -= 1
+    order, width = min_degree_peel(adj)
     owner = {}
-    out = {u: 0 for u in nodes}
-    for p in plist:
-        a, b = p
-        o = a if rank[a] < rank[b] else b
-        owner[p] = o
-        out[o] += 1
-    return Orientation(owner, tuple(order), max(out.values()) if nodes else 0)
+    peeled = set()
+    for u in order:
+        peeled.add(u)
+        for w in adj[u]:
+            if w not in peeled:
+                owner[(u, w) if u < w else (w, u)] = u
+    return Orientation(owner, order, width)
 
 
 def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:

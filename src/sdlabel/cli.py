@@ -111,6 +111,9 @@ def cmd_label(args) -> int:
 
 def cmd_decode(args) -> int:
     labels = labeling.load_labels(_read(args.labels))
+    for v in (args.u, args.v):
+        if v not in labels:
+            raise ValueError(f"vertex {v} not in label file")
     print(1 if labeling.decode(labels[args.u], labels[args.v]) else 0)
     return 0
 

@@ -9,6 +9,7 @@ so downstream tests are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 __all__ = [
     "Graph",
@@ -17,6 +18,7 @@ __all__ = [
     "gen_shift",
     "gen_gnp",
     "degeneracy",
+    "min_degree_peel",
     "induced_subgraph",
     "load_edge_list",
     "save_edge_list",
@@ -175,27 +177,49 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     return g
 
 
+def min_degree_peel(adj) -> tuple[tuple[int, ...], int]:
+    """Smallest-last peel: repeatedly remove a vertex of least remaining degree.
+
+    ``adj`` maps each vertex to the set of its neighbors (symmetric, no
+    loops).  Ties go to the smallest vertex id, so every step removes
+    ``min(alive, key=lambda v: (deg[v], v))``.  Returns the removal order
+    and the largest degree a vertex had when removed, which is the
+    degeneracy.  A lazy heap on (degree, id) keeps one current entry per
+    alive vertex and skips entries made stale by later degree drops:
+    O((N + M) log N) for N vertices and M edges.
+    """
+    deg = {u: len(nbrs) for u, nbrs in adj.items()}
+    heap = [(d, u) for u, d in deg.items()]
+    heapify(heap)
+    order = []
+    width = 0
+    while heap:
+        d, u = heappop(heap)
+        if deg.get(u) != d:  # removed already, or its degree has dropped since
+            continue
+        del deg[u]
+        order.append(u)
+        if d > width:
+            width = d
+        for w in adj[u]:
+            dw = deg.get(w)
+            if dw is not None:
+                deg[w] = dw - 1
+                heappush(heap, (dw - 1, w))
+    return tuple(order), width
+
+
 def degeneracy(g: Graph) -> DegeneracyCertificate:
-    """Min-degree peel; ties broken by smallest vertex id.
+    """Min-degree peel (see :func:`min_degree_peel`); ties broken by
+    smallest vertex id.
 
     The returned ``d`` is the exact degeneracy and ``order`` is a
     degeneracy ordering witnessing it.
     """
     if g.n < 1:
         raise ValueError("degeneracy needs at least one vertex")
-    deg = [len(g.adj[u]) for u in range(g.n)]
-    alive = [True] * g.n
-    order = []
-    d = 0
-    for _ in range(g.n):
-        u = min((v for v in range(g.n) if alive[v]), key=lambda v: (deg[v], v))
-        d = max(d, deg[u])
-        order.append(u)
-        alive[u] = False
-        for w in g.adj[u]:
-            if alive[w]:
-                deg[w] -= 1
-    return DegeneracyCertificate(d, tuple(order))
+    order, d = min_degree_peel(dict(enumerate(g.adj)))
+    return DegeneracyCertificate(d, order)
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:

@@ -304,27 +304,60 @@ def save_labels(labels: dict[int, AdjacencyLabel]) -> str:
 
 
 def load_labels(text: str) -> dict[int, AdjacencyLabel]:
+    """Parse the `p lbl` format.
+
+    Rejects, with the line number, a repeated or out-of-range vertex, a
+    label whose preamble disagrees with the header's (n, id_bits, W), and
+    a label count other than the header's n.
+    """
     labels = {}
-    header = False
+    header = None
+    header_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "p":
+            if header is not None:
+                raise ValueError(f"line {lineno}: duplicate header")
             if len(parts) != 5 or parts[1] != "lbl":
                 raise ValueError(f"line {lineno}: malformed header {line!r}")
-            header = True
+            try:
+                header = tuple(int(x) for x in parts[2:])
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed header {line!r}") from None
+            header_line = lineno
         elif parts[0] == "l":
-            if not header:
+            if header is None:
                 raise ValueError(f"line {lineno}: label before header")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed label {line!r}")
-            v = int(parts[1])
-            data = bytes.fromhex(parts[2])
+            try:
+                v = int(parts[1])
+                data = bytes.fromhex(parts[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed label {line!r}") from None
+            if not 0 <= v < header[0]:
+                raise ValueError(f"line {lineno}: vertex {v} out of range [0, {header[0]})")
+            if v in labels:
+                raise ValueError(f"line {lineno}: repeated vertex {v}")
+            if len(data) * 8 < PREAMBLE_BITS:
+                raise ValueError(f"line {lineno}: label shorter than its preamble")
+            pre = int.from_bytes(data[: PREAMBLE_BITS // 8], "big")
+            got = (pre >> 32, (pre >> 16) & 0xFFFF, pre & 0xFFFF)
+            if got != header:
+                raise ValueError(
+                    f"line {lineno}: label preamble (n, id_bits, W) = {got} "
+                    f"disagrees with header {header}"
+                )
             labels[v] = AdjacencyLabel(data, len(data) * 8)
         else:
             raise ValueError(f"line {lineno}: unknown record {line!r}")
     if not labels:
         raise ValueError("no labels in input")
+    if len(labels) != header[0]:
+        raise ValueError(
+            f"line {header_line}: header declares {header[0]} labels, found {len(labels)}"
+        )
     return labels

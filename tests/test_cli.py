@@ -57,6 +57,18 @@ class TestPipelines:
         gg = load_edge_list(g.read_text())
         assert code == 0 and out.strip() == ("1" if gg.has_edge(0, 1) else "0")
 
+    def test_decode_missing_vertex(self, tmp_path, capsys):
+        g = tmp_path / "g.el"
+        wf = tmp_path / "w.ord"
+        lf = tmp_path / "L.lbl"
+        main(["gen", "--kind", "rook", "--a", "3", "--b", "3", "-o", str(g)])
+        main(["order", "--mode", "exact", str(g), "-o", str(wf)])
+        main(["label", str(g), str(wf), "-o", str(lf)])
+        capsys.readouterr()
+        code, out, err = run(capsys, "decode", str(lf), "0", "999")
+        assert code == 1 and out == ""
+        assert err == "error: vertex 999 not in label file\n"
+
     def test_verify_reports_mismatches(self, tmp_path, capsys):
         g = tmp_path / "g.el"
         wf = tmp_path / "w.ord"

@@ -1,11 +1,13 @@
 """Adjacency labels: layout, two-label decoding, and the full pipeline."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdlabel import Graph, SddWitness, gen_gnp, gen_rook, sdd_exact, embed_sdd1
+from sdlabel.cli import bench_instance
 from sdlabel.labeling import (
     AdjacencyLabel,
     build_scheme,
@@ -196,3 +198,67 @@ class TestDumpFormat:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             load_labels(text)
+
+    @staticmethod
+    def rook_dump():
+        g = gen_rook(3, 3)
+        d, w = sdd_exact(g)
+        return save_labels(label_graph(g, w)).splitlines()
+
+    def test_rejects_repeated_vertex(self):
+        lines = self.rook_dump()
+        text = "\n".join(lines + [lines[2]])
+        with pytest.raises(ValueError, match=r"line 11: repeated vertex 1"):
+            load_labels(text)
+
+    def test_rejects_vertex_out_of_range(self):
+        lines = self.rook_dump()
+        lines[-1] = lines[-1].replace("l 8 ", "l 9 ")
+        with pytest.raises(ValueError, match=r"line 10: vertex 9 out of range"):
+            load_labels("\n".join(lines))
+
+    def test_rejects_label_count(self):
+        lines = self.rook_dump()
+        with pytest.raises(ValueError, match=r"line 1: header declares 9 labels, found 8"):
+            load_labels("\n".join(lines[:-1]))
+
+    def test_rejects_header_preamble_mismatch(self):
+        lines = self.rook_dump()
+        _, _, n, id_bits, width = lines[0].split()
+        for header in (f"p lbl 99 {id_bits} {width}", f"p lbl {n} 7 {width}",
+                       f"p lbl {n} {id_bits} 3"):
+            text = "\n".join([header] + lines[1:])
+            with pytest.raises(ValueError, match=r"line 2: label preamble"):
+                load_labels(text)
+
+    def test_rejects_duplicate_header_and_bad_fields(self):
+        lines = self.rook_dump()
+        cases = [
+            ([lines[0]] + lines, "line 2: duplicate header"),
+            (["p lbl 9 x 1"] + lines[1:], "line 1: malformed header"),
+            (lines[:1] + ["l one " + lines[1].split()[2]] + lines[2:], "line 2: malformed label"),
+            (lines[:1] + ["l 0 ff"] + lines[2:], "line 2: label shorter than its preamble"),
+        ]
+        for text_lines, message in cases:
+            with pytest.raises(ValueError, match=message):
+                load_labels("\n".join(text_lines))
+
+
+class TestFingerprints:
+    """sha256 of the saved labels, pinned from the O(N^2) min-scan peel:
+    any change to the orientation, the layout or the bench instances shows
+    up here."""
+
+    @pytest.mark.parametrize(
+        "family,n,seed,digest",
+        [
+            ("embed", 512, 1, "c45d76129e813f98e1ff8150a2190d4d47d9188fd24cdcd07ff0d5a78ccbb7ef"),
+            ("embed", 512, 2, "75ba068d8fd6aa42a3d41a4843bf50fadcea21058535a0ffdb71844372f0469a"),
+            ("embed", 512, 3, "67b878fadf7ad55182edadb5b3bc0e74803bcf62a77f84abb366179f88853876"),
+            ("rook", 256, 0, "08d77935b85d7a656a498632e75cdca073daa064bbfc017bcbd4039a04f07c45"),
+        ],
+    )
+    def test_saved_labels_unchanged(self, family, n, seed, digest):
+        g, w = bench_instance(family, n, 1, seed)
+        text = save_labels(label_graph(g, w))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
