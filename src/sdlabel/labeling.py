@@ -174,13 +174,14 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Parsed:
     n: int
     id_bits: int
     width: int
     path: tuple[int, ...]
     entries: tuple[tuple[tuple[int, int], ...], ...]  # per path node
+    nbits: int  # bits the layout occupies, i.e. the exact label length
 
 
 def _parse(label: AdjacencyLabel) -> _Parsed:
@@ -201,7 +202,7 @@ def _parse(label: AdjacencyLabel) -> _Parsed:
         if cnt > width:
             raise ValueError("corrupt label: owned count exceeds width")
         entries.append(tuple((r.read(id_bits), r.read(1)) for _ in range(cnt)))
-    return _Parsed(n, id_bits, width, path, tuple(entries))
+    return _Parsed(n, id_bits, width, path, tuple(entries), r.pos)
 
 
 def _decode_parsed(a: _Parsed, b: _Parsed) -> bool:
@@ -306,9 +307,12 @@ def save_labels(labels: dict[int, AdjacencyLabel]) -> str:
 def load_labels(text: str) -> dict[int, AdjacencyLabel]:
     """Parse the `p lbl` format.
 
-    Rejects, with the line number, a repeated or out-of-range vertex, a
-    label whose preamble disagrees with the header's (n, id_bits, W), and
-    a label count other than the header's n.
+    Each label gets its exact bit length back from its own layout, so a
+    save/load round trip returns equal labels.  Rejects, with the line
+    number, a repeated or out-of-range vertex, a label whose preamble
+    disagrees with the header's (n, id_bits, W), a label that does not
+    parse, a label with nonzero pad bits or a whole trailing byte, and a
+    label count other than the header's n.
     """
     labels = {}
     header = None
@@ -351,7 +355,16 @@ def load_labels(text: str) -> dict[int, AdjacencyLabel]:
                     f"line {lineno}: label preamble (n, id_bits, W) = {got} "
                     f"disagrees with header {header}"
                 )
-            labels[v] = AdjacencyLabel(data, len(data) * 8)
+            try:
+                nbits = _parse(AdjacencyLabel(data, len(data) * 8)).nbits
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            pad = len(data) * 8 - nbits
+            if pad >= 8:
+                raise ValueError(f"line {lineno}: trailing byte after the {nbits}-bit label")
+            if data[-1] & ((1 << pad) - 1):
+                raise ValueError(f"line {lineno}: nonzero pad bits after the {nbits}-bit label")
+            labels[v] = AdjacencyLabel(data, nbits)
         else:
             raise ValueError(f"line {lineno}: unknown record {line!r}")
     if not labels:

@@ -107,9 +107,14 @@ def is_diverse(g: Graph, vertices, d: int) -> bool:
     smask = 0
     for u in s:
         smask |= 1 << u
+    # With both neighbourhoods cut to S, sd(u, v) = |N[u] ^ N(v)| - 1: the
+    # closed N[u] and the open N(v) differ in exactly one of the bits u, v.
+    sub = [masks[u] & smask for u in s]
+    limit = d + 1
     for i, u in enumerate(s):
-        for v in s[i + 1 :]:
-            if _restricted_sd(masks, smask, u, v) <= d:
+        closed = sub[i] | (1 << u)
+        for other in sub[i + 1 :]:
+            if (closed ^ other).bit_count() <= limit:
                 return False
     return True
 
@@ -211,55 +216,83 @@ def sdd_greedy(g: Graph, d: int):
 
     Returns an SddWitness accepted by check_witness, or None if the greedy
     rule gets stuck.  Absence is not proof that sdd(G) > d.
+
+    Each step reuses what the earlier steps learned (see _greedy_steps).
+    Over the alive set S, sd(u, v) never rises as vertices leave S, and
+    removing x lowers it by exactly 1 when x is adjacent to exactly one of
+    u, v.  So a vertex found twinless earlier can only gain a twin among
+    the partners some later removal split from it, and only those are
+    re-tested.  Cost: one O(n) scan per vertex the first time it is tested,
+    then per elimination one big-int OR per tested vertex and one bit clear
+    per alive neighbour, and one popcount per split partner per re-test;
+    the all-pairs loop this replaced rescanned every alive pair per step.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
     n = g.n
     if n < 1:
         raise ValueError("empty graph")
-    masks = g.neighbor_masks()
-    alive_mask = (1 << n) - 1
+    steps = _greedy_steps(g.neighbor_masks(), n, d)
+    return None if steps is None else SddWitness(d, tuple(steps))
+
+
+def _greedy_steps(masks, n: int, d: int):
+    """The steps of sdd_greedy at level d, or None if the rule gets stuck.
+
+    ``split[u]`` is None until u is first tested.  Once u has been found
+    twinless it holds the partners whose sd with u fell since that test;
+    every twin u can have now is among them, so a re-test reads only those,
+    and the lowest-id twin is the lowest set bit that passes.
+    """
+    nbr = list(masks)  # neighbourhoods cut to the alive set
     alive = list(range(n))
+    alive_mask = (1 << n) - 1
+    split = [None] * n
+    checked = set()  # alive vertices whose split set is kept
+    limit = d + 1  # sd(u, v) = |N[u] ^ N(v)| - 1 inside the alive set
     steps = []
     while len(alive) > 1:
         pick = None
         for u in alive:
-            for v in alive:
-                if v != u and _restricted_sd(masks, alive_mask, u, v) <= d:
-                    pick = (u, v)
-                    break
-            if pick:
+            todo = split[u]
+            if todo == 0:
+                continue
+            closed = nbr[u] | (1 << u)
+            if todo is None:
+                for v in alive:
+                    if v != u and (closed ^ nbr[v]).bit_count() <= limit:
+                        pick = (u, v)
+                        break
+            else:
+                todo &= alive_mask
+                while todo:
+                    low = todo & -todo
+                    v = low.bit_length() - 1
+                    if (closed ^ nbr[v]).bit_count() <= limit:
+                        pick = (u, v)
+                        break
+                    todo ^= low
+            if pick is not None:
                 break
-        if pick is None:
-            return None
-        u, v = pick
-        steps.append((u, v))
-        alive.remove(u)
-        alive_mask &= ~(1 << u)
-    return SddWitness(d, tuple(steps))
-
-
-def _zero_twin_steps(masks, n: int):
-    # Twin elimination is confluent: a graph reduces to one vertex by
-    # removing 0-twins iff every maximal removal sequence does (this is the
-    # cograph case), so a single greedy pass decides d = 0.
-    alive_mask = (1 << n) - 1
-    alive = list(range(n))
-    steps = []
-    while len(alive) > 1:
-        pick = None
-        for u in alive:
-            for v in alive:
-                if v != u and _restricted_sd(masks, alive_mask, u, v) == 0:
-                    pick = (u, v)
-                    break
-            if pick:
-                break
+            split[u] = 0
+            checked.add(u)
         if pick is None:
             return None
         steps.append(pick)
-        alive.remove(pick[0])
-        alive_mask &= ~(1 << pick[0])
+        x = pick[0]
+        alive.remove(x)
+        checked.discard(x)
+        bit = 1 << x
+        alive_mask ^= bit
+        near = masks[x]
+        far = alive_mask & ~near  # S \ N[x], taken over the new S
+        for u in checked:
+            split[u] |= far if (near >> u) & 1 else near
+        rest = near & alive_mask
+        while rest:
+            low = rest & -rest
+            nbr[low.bit_length() - 1] ^= bit
+            rest ^= low
     return steps
 
 
@@ -272,7 +305,10 @@ def _witness_search(masks, n: int, d: int):
     degrade to the full reachable state space.
     """
     if d == 0:
-        return _zero_twin_steps(masks, n)
+        # Twin elimination is confluent: a graph reduces to one vertex by
+        # removing 0-twins iff every maximal removal sequence does (this is
+        # the cograph case), so a single greedy pass decides d = 0.
+        return _greedy_steps(masks, n, 0)
     failed = set()
     steps = []
 

@@ -243,6 +243,36 @@ class TestDumpFormat:
             with pytest.raises(ValueError, match=message):
                 load_labels("\n".join(text_lines))
 
+    def test_round_trip_keeps_exact_lengths(self):
+        g, w = bench_instance("rook", 256, 1, 0)
+        labels = label_graph(g, w)
+        again = load_labels(save_labels(labels))
+        assert again == labels
+        stats = label_stats(again)
+        assert stats == label_stats(labels)
+        assert (stats.max_bits, stats.mean_bits) == (2231, 1323.96875)
+
+    def test_rejects_nonzero_pad_bits(self):
+        lines = self.rook_dump()
+        labels = load_labels("\n".join(lines))
+        k = next(k for k in range(1, len(lines)) if labels[k - 1].nbits % 8)
+        data = bytearray(labels[k - 1].data)
+        data[-1] |= 1  # the last bit is padding
+        lines[k] = f"l {k - 1} {data.hex()}"
+        with pytest.raises(ValueError, match=rf"line {k + 1}: nonzero pad bits"):
+            load_labels("\n".join(lines))
+
+    def test_rejects_trailing_byte(self):
+        lines = self.rook_dump()
+        for extra in ("00", "ff"):
+            with pytest.raises(ValueError, match=r"line 3: trailing byte"):
+                load_labels("\n".join(lines[:2] + [lines[2] + extra] + lines[3:]))
+
+    def test_rejects_label_cut_short(self):
+        lines = self.rook_dump()
+        with pytest.raises(ValueError, match=r"line 2: label exhausted"):
+            load_labels("\n".join(lines[:1] + [lines[1][:-4]] + lines[2:]))
+
 
 class TestFingerprints:
     """sha256 of the saved labels, pinned from the O(N^2) min-scan peel:
