@@ -35,7 +35,10 @@ class CompleteTree:
     All levels are filled except possibly the last, whose leaves are
     left-aligned; the depth (nodes on a root-leaf path) is
     ceil(log2 n) + 1, with a single-leaf tree having depth 1.  Node ids
-    are assigned in BFS order, root = 0.
+    are heap ids: internal node i < n - 1 has children 2i + 1 and 2i + 2,
+    and the leaves are n - 1 .. 2n - 2.  Parents, the leaf order, leaf
+    intervals and the depth are read off the Euler tour of a
+    SignedTreeModel on these children, each leaf carrying its own id.
     """
 
     __slots__ = ("n", "children", "parent", "leaf_of_pos", "interval", "depth")
@@ -44,60 +47,16 @@ class CompleteTree:
         if n < 1:
             raise ValueError("complete tree needs at least one leaf")
         self.n = n
-        children: list = []
-        sizes = [n]
-        queue = [0]
-        children.append(None)
-        head = 0
-        while head < len(queue):
-            node = queue[head]
-            head += 1
-            s = sizes[node]
-            if s == 1:
-                continue
-            # Left subtree takes min(2**(D-1), s - 2**(D-2)) leaves, where
-            # D = ceil(log2 s): fill the left half first, but never starve
-            # the right subtree below a complete shape of depth D - 1.
-            d = (s - 1).bit_length()
-            left = 1 if s == 2 else min(1 << (d - 1), s - (1 << (d - 2)))
-            l_id, r_id = len(sizes), len(sizes) + 1
-            sizes.extend((left, s - left))
-            children[node] = (l_id, r_id)
-            children.extend((None, None))
-            queue.extend((l_id, r_id))
-        self.children = tuple(children)
-        n_nodes = len(children)
-        parent = [-1] * n_nodes
-        for i, ch in enumerate(children):
-            if ch is not None:
-                parent[ch[0]] = i
-                parent[ch[1]] = i
-        self.parent = tuple(parent)
-
-        # DFS (left first) for leaf positions and per-node leaf intervals.
-        lo = [0] * n_nodes
-        hi = [0] * n_nodes
-        leaf_of_pos = [0]  # 1-based
-        maxdep = 0
-        stack = [(0, 1, False)]
-        while stack:
-            node, dep, done = stack.pop()
-            ch = self.children[node]
-            if done:
-                lo[node] = lo[ch[0]]
-                hi[node] = hi[ch[1]]
-                continue
-            maxdep = max(maxdep, dep)
-            if ch is None:
-                leaf_of_pos.append(node)
-                lo[node] = hi[node] = len(leaf_of_pos) - 1
-            else:
-                stack.append((node, dep, True))
-                stack.append((ch[1], dep + 1, False))
-                stack.append((ch[0], dep + 1, False))
-        self.leaf_of_pos = tuple(leaf_of_pos)
-        self.interval = tuple(zip(lo, hi))
-        self.depth = maxdep
+        self.children = tuple(
+            (2 * i + 1, 2 * i + 2) if i < n - 1 else None for i in range(2 * n - 1)
+        )
+        tour = SignedTreeModel(
+            self.children, [i if i >= n - 1 else -1 for i in range(2 * n - 1)]
+        )
+        self.parent = tour.parent
+        self.leaf_of_pos = (0,) + tour.leaf_order()  # 1-based
+        self.interval = tour.node_intervals()
+        self.depth = max(tour.depth) + 1
 
     @property
     def n_nodes(self) -> int:

@@ -71,7 +71,7 @@ def load_cnf(text: str) -> CnfFormula:
     """DIMACS CNF; clauses are runs of literals terminated by 0."""
     tokens = []
     num_vars = num_clauses = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -79,9 +79,16 @@ def load_cnf(text: str) -> CnfFormula:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"malformed header {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            try:
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed header {line!r}") from None
         else:
-            tokens.extend(int(t) for t in parts)
+            for t in parts:
+                try:
+                    tokens.append(int(t))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: malformed literal {t!r}") from None
     if num_vars is None:
         raise ValueError("missing `p cnf` header")
     clauses = []
@@ -280,19 +287,19 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
 
     next_id = c_base + 2 * m
     bubbles = []
+    _, cells, top, col = _bubble_layout(d)
+    grid = build_bubble(d)[0].edges()  # over cell indices, in cells order
 
     def attach_bubble(bid: str, members, counts):
         nonlocal next_id
-        w, cells, top, col = _bubble_layout(d)
-        index = {}
-        for cell in cells:
-            index[cell] = next_id
-            roles[next_id] = f"bub:{bid}:{cell[0]}:{cell[1]}"
-            next_id += 1
-        for i, (r1, c1) in enumerate(cells):
-            for (r2, c2) in cells[i + 1 :]:
-                if r1 == r2 or c1 == c2:
-                    edges.append((index[(r1, c1)], index[(r2, c2)]))
+        ids = list(range(next_id, next_id + len(cells)))
+        index = dict(zip(cells, ids))
+        for cell, v in index.items():
+            roles[v] = f"bub:{bid}:{cell[0]}:{cell[1]}"
+        next_id += len(cells)
+        # ids[a], not an offset sum: the adjacency sets keep the ints they
+        # are given, and one shared int per cell keeps the reduction small.
+        edges.extend((ids[a], ids[b]) for a, b in grid)
         ports = [index[c] for c in top] + [index[c] for c in col]
         assert sum(counts) == len(ports) == d + 1
         assert len(counts) == len(members)

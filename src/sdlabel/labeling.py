@@ -101,7 +101,6 @@ class LabelScheme:
     n: int
     id_bits: int
     width: int
-    depth_bits: int
     orientation: dict
     node_paths: dict
 
@@ -130,7 +129,6 @@ def build_scheme(m: SignedTreeModel) -> LabelScheme:
         n=m.n_leaves,
         id_bits=id_bits,
         width=ori.max_outdegree,
-        depth_bits=DEPTH_BITS,
         orientation=ori.owner,
         node_paths=paths,
     )

@@ -89,8 +89,26 @@ def d_twin_pairs(g: Graph, d: int) -> list[tuple[int, int]]:
     ]
 
 
-def _restricted_sd(masks, smask: int, u: int, v: int) -> int:
-    return ((masks[u] ^ masks[v]) & smask & ~(1 << u) & ~(1 << v)).bit_count()
+def _has_twin_pair(masks, ids, d: int) -> bool:
+    """True iff two of ``ids`` are d-twins in the subgraph S they induce.
+
+    Inside S, sd(u, v) = |N[u] ^ N(v)| - 1: the closed N[u] and the open
+    N(v) differ in exactly one of the bits u, v.  Each pair is cut to S on
+    its own and the scan stops at the first twin pair, which suits the
+    many small sets of the exhaustive oracles.  is_diverse instead cuts
+    every mask to S once, which pays for one large S tested in full, and
+    _greedy_steps keeps its cut masks up to date across eliminations.
+    """
+    smask = 0
+    for u in ids:
+        smask |= 1 << u
+    limit = d + 1
+    for i, u in enumerate(ids):
+        closed = masks[u] | (1 << u)
+        for v in ids[i + 1 :]:
+            if ((closed ^ masks[v]) & smask).bit_count() <= limit:
+                return True
+    return False
 
 
 def is_diverse(g: Graph, vertices, d: int) -> bool:
@@ -133,18 +151,7 @@ def find_diverse_subgraph(g: Graph, d: int, limit: int = SUBSET_SEARCH_LIMIT):
     verts = range(g.n)
     for size in range(g.n, 1, -1):
         for combo in combinations(verts, size):
-            smask = 0
-            for u in combo:
-                smask |= 1 << u
-            ok = True
-            for i, u in enumerate(combo):
-                for v in combo[i + 1 :]:
-                    if _restricted_sd(masks, smask, u, v) <= d:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if not _has_twin_pair(masks, combo, d):
                 return frozenset(combo)
     return None
 
@@ -167,21 +174,9 @@ def sd_exact(g: Graph, limit: int = SUBSET_SEARCH_LIMIT) -> int:
         if size - 2 <= best:
             break
         for combo in combinations(verts, size):
-            smask = 0
-            for u in combo:
-                smask |= 1 << u
-            minsd = size  # larger than any achievable value
-            for i, u in enumerate(combo):
-                for v in combo[i + 1 :]:
-                    sd = _restricted_sd(masks, smask, u, v)
-                    if sd < minsd:
-                        minsd = sd
-                        if minsd <= best:
-                            break
-                if minsd <= best:
-                    break
-            if minsd > best:
-                best = minsd
+            # Raise best to this subset's min pair sd, if that is larger.
+            while not _has_twin_pair(masks, combo, best):
+                best += 1
     return best
 
 
@@ -204,7 +199,8 @@ def check_witness(g: Graph, w: SddWitness) -> bool:
             return False
         if not (alive >> e) & 1 or not (alive >> p) & 1:
             return False
-        if _restricted_sd(masks, alive, e, p) > w.d:
+        # sd(e, p) = |N[e] ^ N(p)| - 1 inside the alive set
+        if (((masks[e] | (1 << e)) ^ masks[p]) & alive).bit_count() > w.d + 1:
             return False
         alive &= ~(1 << e)
     return True
@@ -311,6 +307,7 @@ def _witness_search(masks, n: int, d: int):
         return _greedy_steps(masks, n, 0)
     failed = set()
     steps = []
+    limit = d + 1  # sd(u, v) = |N[u] ^ N(v)| - 1 inside the live set
 
     def go(mask: int) -> bool:
         if mask & (mask - 1) == 0:
@@ -320,8 +317,9 @@ def _witness_search(masks, n: int, d: int):
         live = [u for u in range(n) if (mask >> u) & 1]
         for u in live:
             partner = None
+            closed = masks[u] | (1 << u)
             for v in live:
-                if v != u and _restricted_sd(masks, mask, u, v) <= d:
+                if v != u and ((closed ^ masks[v]) & mask).bit_count() <= limit:
                     partner = v
                     break
             if partner is None:
@@ -443,13 +441,19 @@ def load_witness(text: str) -> SddWitness:
                 raise ValueError(f"line {lineno}: duplicate header")
             if len(parts) != 4 or parts[1] != "sdd":
                 raise ValueError(f"line {lineno}: malformed header {line!r}")
-            d, declared = int(parts[2]), int(parts[3])
+            try:
+                d, declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed header {line!r}") from None
         elif parts[0] == "x":
             if d is None:
                 raise ValueError(f"line {lineno}: step before header")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed step {line!r}")
-            steps.append((int(parts[1]), int(parts[2])))
+            try:
+                steps.append((int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed step {line!r}") from None
         else:
             raise ValueError(f"line {lineno}: unknown record {line!r}")
     if d is None:

@@ -77,6 +77,84 @@ class TestCompleteTree:
         assert all(a >= b for a, b in zip(depths, depths[1:]))
 
 
+def reference_complete_tree(n):
+    """The BFS size-split builder and interval DFS that CompleteTree used
+    before it took heap ids: (children, parent, leaf_of_pos, interval, depth)."""
+    children = [None]
+    sizes = [n]
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        node = queue[head]
+        head += 1
+        s = sizes[node]
+        if s == 1:
+            continue
+        d = (s - 1).bit_length()
+        left = 1 if s == 2 else min(1 << (d - 1), s - (1 << (d - 2)))
+        l_id, r_id = len(sizes), len(sizes) + 1
+        sizes.extend((left, s - left))
+        children[node] = (l_id, r_id)
+        children.extend((None, None))
+        queue.extend((l_id, r_id))
+    n_nodes = len(children)
+    parent = [-1] * n_nodes
+    for i, ch in enumerate(children):
+        if ch is not None:
+            parent[ch[0]] = parent[ch[1]] = i
+    lo = [0] * n_nodes
+    hi = [0] * n_nodes
+    leaf_of_pos = [0]
+    maxdep = 0
+    stack = [(0, 1, False)]
+    while stack:
+        node, dep, done = stack.pop()
+        ch = children[node]
+        if done:
+            lo[node] = lo[ch[0]]
+            hi[node] = hi[ch[1]]
+            continue
+        maxdep = max(maxdep, dep)
+        if ch is None:
+            leaf_of_pos.append(node)
+            lo[node] = hi[node] = len(leaf_of_pos) - 1
+        else:
+            stack.append((node, dep, True))
+            stack.append((ch[1], dep + 1, False))
+            stack.append((ch[0], dep + 1, False))
+    return (
+        tuple(children),
+        tuple(parent),
+        tuple(leaf_of_pos),
+        tuple(zip(lo, hi)),
+        maxdep,
+    )
+
+
+class TestCompleteTreeReference:
+    """complete_tree(n) equals the BFS/DFS builder it replaced, field by field."""
+
+    SIZES = list(range(1, 513)) + [1023, 1024, 1025, 4096, 16383, 16384, 16385]
+
+    def test_matches_reference(self):
+        for n in self.SIZES:
+            t = complete_tree(n)
+            got = (t.children, t.parent, t.leaf_of_pos, t.interval, t.depth)
+            assert got == reference_complete_tree(n), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 100, 1025])
+    def test_heap_ids(self, n):
+        t = complete_tree(n)
+        assert t.n_nodes == 2 * n - 1
+        for i in range(t.n_nodes):
+            if i < n - 1:
+                assert t.children[i] == (2 * i + 1, 2 * i + 2)
+            else:
+                assert t.children[i] is None
+            assert t.parent[i] == ((i - 1) // 2 if i else -1)
+        assert sorted(t.leaf_of_pos[1:]) == list(range(n - 1, 2 * n - 1))
+
+
 class TestIntervalCover:
     def test_whole_range(self):
         assert interval_cover(8, 1, 8).nodes == (0,)

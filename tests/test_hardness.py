@@ -48,6 +48,20 @@ class TestCnf:
         with pytest.raises(ValueError):
             load_cnf(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf a 1\n1 0\n", "line 1: malformed header 'p cnf a 1'"),
+            ("c x\np cnf 1 b\n1 0\n", "line 2: malformed header 'p cnf 1 b'"),
+            ("p cnf 2 1\n1\nx 0\n", "line 3: malformed literal 'x'"),
+            ("p cnf 2 1\n1 -2 0.5 0\n", "line 2: malformed literal '0.5'"),
+        ],
+    )
+    def test_malformed_integer_names_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            load_cnf(text)
+        assert str(err.value) == message
+
 
 class TestSatOracle:
     def test_trivial(self):

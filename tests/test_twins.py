@@ -300,3 +300,17 @@ class TestWitnessFormat:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             load_witness(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("w sdd x 3\n", "line 1: malformed header 'w sdd x 3'"),
+            ("w sdd 1 y\n", "line 1: malformed header 'w sdd 1 y'"),
+            ("w sdd 1 2\nx 0 1\nx 0 y\n", "line 3: malformed step 'x 0 y'"),
+            ("# c\nw sdd 1 1\nx z 1\n", "line 3: malformed step 'x z 1'"),
+        ],
+    )
+    def test_malformed_integer_names_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            load_witness(text)
+        assert str(err.value) == message
