@@ -77,11 +77,6 @@ class Graph:
             masks[u] = m
         return masks
 
-    def copy(self) -> "Graph":
-        g = Graph(self.n)
-        g.adj = [set(a) for a in self.adj]
-        return g
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

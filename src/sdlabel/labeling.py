@@ -5,15 +5,18 @@ Label layout, MSB first:
     [16b n][16b id_bits][16b width W]            -- public preamble
     [8b  h]                                       -- path length
     [h x id_bits]                                 -- path node ids, root first
-    per path node:
+    per path node, root first, that node's block:
         [ceil(log2(W+1)) bits]                    -- owned-pair count
         count x ([id_bits other endpoint][1b color, blue=1])
 
-Each signed pair is stored once, owned by the endpoint peeled earlier in
-the degeneracy order of the pair graph, so per-node counts never exceed
-the scheme width.  Two labels decode adjacency alone: the stored entries
-whose endpoints fall on opposite path suffixes below the meet of the two
-paths form a chain, and the deepest one's color decides.
+A label is its path ids followed by one block per path node.  A block
+depends only on its node, so it is identical in every label whose path
+passes through that node.  Each signed pair is stored once, owned by the
+endpoint peeled earlier in the degeneracy order of the pair graph, so
+per-node counts never exceed the scheme width.  Two labels decode
+adjacency alone: the stored entries whose endpoints fall on opposite path
+suffixes below the meet of the two paths form a chain, and the deepest
+one's color decides.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ from .twins import SddWitness
 
 __all__ = [
     "AdjacencyLabel",
-    "LabelScheme",
     "LabelStats",
     "PREAMBLE_BITS",
     "DEPTH_BITS",
-    "build_scheme",
     "encode",
     "decode",
     "decode_matrix",
@@ -57,25 +58,6 @@ class AdjacencyLabel:
         return self.data.hex()
 
 
-class _BitWriter:
-    __slots__ = ("acc", "nbits")
-
-    def __init__(self):
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, bits: int) -> None:
-        if bits < 0 or value < 0 or value >> bits:
-            raise ValueError(f"value {value} does not fit in {bits} bits")
-        self.acc = (self.acc << bits) | value
-        self.nbits += bits
-
-    def label(self) -> AdjacencyLabel:
-        pad = (-self.nbits) % 8
-        data = (self.acc << pad).to_bytes((self.nbits + pad) // 8, "big")
-        return AdjacencyLabel(data, self.nbits)
-
-
 class _BitReader:
     __slots__ = ("value", "nbits", "pos")
 
@@ -94,46 +76,6 @@ class _BitReader:
         return (self.value >> (self.nbits - self.pos)) & ((1 << bits) - 1)
 
 
-@dataclass(frozen=True)
-class LabelScheme:
-    """Everything fixed per encoding: sizes, pair ownership, root paths."""
-
-    n: int
-    id_bits: int
-    width: int
-    orientation: dict
-    node_paths: dict
-
-    @property
-    def count_bits(self) -> int:
-        return self.width.bit_length()  # ceil(log2(W+1))
-
-
-def build_scheme(m: SignedTreeModel) -> LabelScheme:
-    if not is_clean(m):
-        raise ValueError("labels require a clean model")
-    ori = orient_low_outdegree(range(m.n_nodes), m.green | m.blue)
-    id_bits = max(1, (m.n_nodes - 1).bit_length())
-    paths = {leaf: m.root_path(leaf) for leaf in m.leaf_order()}
-    h_max = max(len(p) for p in paths.values())
-    if h_max > (1 << DEPTH_BITS) - 1:
-        raise ValueError(f"tree depth {h_max} does not fit the 8-bit path length")
-    for limit, value, what in (
-        (1 << 16, m.n_leaves, "vertex count"),
-        (1 << 16, id_bits, "id width"),
-        (1 << 16, ori.max_outdegree, "scheme width"),
-    ):
-        if value >= limit:
-            raise ValueError(f"{what} {value} does not fit the preamble")
-    return LabelScheme(
-        n=m.n_leaves,
-        id_bits=id_bits,
-        width=ori.max_outdegree,
-        orientation=ori.owner,
-        node_paths=paths,
-    )
-
-
 def layout_bound(n: int, id_bits: int, width: int, h: int) -> int:
     """Worst-case label bits for the fixed layout at the given sizes."""
     cb = width.bit_length()
@@ -141,34 +83,57 @@ def layout_bound(n: int, id_bits: int, width: int, h: int) -> int:
 
 
 def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
-    """Labels for every vertex of a clean model, keyed by graph vertex."""
-    scheme = build_scheme(m)
-    owned: dict[int, list[tuple[int, int]]] = {}
+    """Labels for every vertex of a clean model, keyed by graph vertex.
+
+    Each node's block (owned-pair count, then its entries) is built once
+    and shared by every label whose root path passes through the node.
+    """
+    if not is_clean(m):
+        raise ValueError("labels require a clean model")
+    ori = orient_low_outdegree(range(m.n_nodes), m.green | m.blue)
+    n, width = m.n_leaves, ori.max_outdegree
+    id_bits = max(1, (m.n_nodes - 1).bit_length())
+    paths = {leaf: m.root_path(leaf) for leaf in m.leaf_order()}
+    h_max = max(len(p) for p in paths.values())
+    if h_max > (1 << DEPTH_BITS) - 1:
+        raise ValueError(f"tree depth {h_max} does not fit the 8-bit path length")
+    for limit, value, what in (
+        (1 << 16, n, "vertex count"),
+        (1 << 16, id_bits, "id width"),
+        (1 << 16, width, "scheme width"),
+    ):
+        if value >= limit:
+            raise ValueError(f"{what} {value} does not fit the preamble")
+    owned: dict[int, list[int]] = {}
     for (a, b), color in sorted(m.signed_pairs().items()):
-        o = scheme.orientation[(a, b)]
+        o = ori.owner[(a, b)]
         other = b if o == a else a
-        owned.setdefault(o, []).append((other, 1 if color == BLUE else 0))
-    cb = scheme.count_bits
+        owned.setdefault(o, []).append((other << 1) | (color == BLUE))
+    cb = width.bit_length()  # ceil(log2(W+1))
+    entry_bits = id_bits + 1
+    blocks = {}
+    for node, entries in owned.items():
+        assert len(entries) <= width
+        value = len(entries)
+        for entry in entries:
+            value = (value << entry_bits) | entry
+        blocks[node] = (value, cb + len(entries) * entry_bits)
+    empty = (0, cb)
+    preamble = (n << 32) | (id_bits << 16) | width
     labels = {}
-    for leaf, path in scheme.node_paths.items():
-        w = _BitWriter()
-        w.write(scheme.n, 16)
-        w.write(scheme.id_bits, 16)
-        w.write(scheme.width, 16)
-        w.write(len(path), DEPTH_BITS)
+    for leaf, path in paths.items():
+        acc = (preamble << DEPTH_BITS) | len(path)
         for node in path:
-            w.write(node, scheme.id_bits)
+            acc = (acc << id_bits) | node
+        nbits = PREAMBLE_BITS + DEPTH_BITS + len(path) * id_bits
         for node in path:
-            entries = owned.get(node, ())
-            w.write(len(entries), cb)
-            for other, colorbit in entries:
-                w.write(other, scheme.id_bits)
-                w.write(colorbit, 1)
-        label = w.label()
-        assert label.nbits <= layout_bound(
-            scheme.n, scheme.id_bits, scheme.width, len(path)
-        )
-        labels[m.leaf_vertex[leaf]] = label
+            value, bits = blocks.get(node, empty)
+            acc = (acc << bits) | value
+            nbits += bits
+        assert nbits <= layout_bound(n, id_bits, width, len(path))
+        pad = (-nbits) % 8
+        data = (acc << pad).to_bytes((nbits + pad) // 8, "big")
+        labels[m.leaf_vertex[leaf]] = AdjacencyLabel(data, nbits)
     return labels
 
 

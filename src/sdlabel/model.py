@@ -226,16 +226,20 @@ class SignedTreeModel:
     def node_intervals(self) -> tuple[tuple[int, int], ...]:
         """Per node, the (lo, hi) 1-based range of leaf positions below it."""
         if self._intervals is None:
-            pos = {leaf: k + 1 for k, leaf in enumerate(self._leaf_order)}
+            preorder = [0] * self.n_nodes
+            for node, t in enumerate(self.tin):
+                preorder[t] = node
             lo = [0] * self.n_nodes
             hi = [0] * self.n_nodes
-            for node in sorted(range(self.n_nodes), key=lambda x: -self.tin[x]):
+            for k, leaf in enumerate(self._leaf_order, start=1):
+                lo[leaf] = hi[leaf] = k
+            # Children come after their parent in preorder, and the tour
+            # visits the left child first.
+            for node in reversed(preorder):
                 ch = self.children[node]
-                if ch is None:
-                    lo[node] = hi[node] = pos[node]
-                else:
-                    lo[node] = min(lo[ch[0]], lo[ch[1]])
-                    hi[node] = max(hi[ch[0]], hi[ch[1]])
+                if ch is not None:
+                    lo[node] = lo[ch[0]]
+                    hi[node] = hi[ch[1]]
             self._intervals = tuple(zip(lo, hi))
         return self._intervals
 
@@ -381,12 +385,15 @@ def sparsity(m: SignedTreeModel) -> Fraction:
     return Fraction(len(m.green | m.blue), m.n_nodes)
 
 
-def is_clean(m: SignedTreeModel) -> bool:
+def _unsigned_siblings(m: SignedTreeModel) -> list[tuple[int, int]]:
+    """Sibling pairs that carry no signed pair, in node order."""
     signed = m.green | m.blue
-    for node, ch in enumerate(m.children):
-        if ch is not None and _norm(*ch) not in signed:
-            return False
-    return True
+    siblings = (_norm(*ch) for ch in m.children if ch is not None)
+    return [p for p in siblings if p not in signed]
+
+
+def is_clean(m: SignedTreeModel) -> bool:
+    return not _unsigned_siblings(m)
 
 
 def make_clean(m: SignedTreeModel) -> SignedTreeModel:
@@ -396,13 +403,7 @@ def make_clean(m: SignedTreeModel) -> SignedTreeModel:
     possible pair above any leaf pair it covers) and the width grows by at
     most 1.
     """
-    signed = m.green | m.blue
-    extra = []
-    for node, ch in enumerate(m.children):
-        if ch is not None:
-            p = _norm(*ch)
-            if p not in signed:
-                extra.append(p)
+    extra = _unsigned_siblings(m)
     if not extra:
         return m
     return SignedTreeModel(

@@ -10,13 +10,12 @@ from sdlabel import Graph, SddWitness, gen_gnp, gen_rook, sdd_exact, embed_sdd1
 from sdlabel.cli import bench_instance
 from sdlabel.labeling import (
     AdjacencyLabel,
-    build_scheme,
+    _parse,
     decode,
     decode_matrix,
     encode,
     label_graph,
     label_stats,
-    layout_bound,
     load_labels,
     save_labels,
 )
@@ -60,11 +59,25 @@ class TestEncode:
     def test_bits_within_layout_bound(self):
         for seed in range(5):
             g = gen_gnp(10, 0.4, seed)
-            labels, m = witness_labels(g)
-            scheme = build_scheme(m)
-            h = max(len(p) for p in scheme.node_paths.values())
-            cap = layout_bound(scheme.n, scheme.id_bits, scheme.width, h)
+            labels, _ = witness_labels(g)
+            # layout_bound at the labels' own (n, id_bits, W) and largest h
+            cap = label_stats(labels).bound_bits
             assert max(l.nbits for l in labels.values()) <= cap
+
+    def test_shared_path_nodes_store_equal_entries(self, corpus):
+        # A node's block is the same bits in every label through it.
+        shared = 0
+        for name, g, w in corpus[:25]:
+            block_at = {}
+            for label in label_graph(g, w).values():
+                p = _parse(label)
+                for node, entries in zip(p.path, p.entries):
+                    if node in block_at:
+                        assert block_at[node] == entries, (name, node)
+                        shared += 1
+                    else:
+                        block_at[node] = entries
+        assert shared > 0
 
 
 class TestDecode:
@@ -289,6 +302,22 @@ class TestFingerprints:
         ],
     )
     def test_saved_labels_unchanged(self, family, n, seed, digest):
-        g, w = bench_instance(family, n, 1, seed)
+        self.check(family, n, 1, seed, digest)
+
+    # Greedy witnesses at d = 4 and d = 11, so 3- and 4-bit count fields;
+    # pinned from the per-field bit writer that wrote every block per label.
+    @pytest.mark.parametrize(
+        "n,d,seed,digest",
+        [
+            (120, 6, 1, "cda4de442530797cbaa31e80edfc018eda584efb72686775d63aa8f8a67d47d8"),
+            (120, 12, 2, "11804fbc65f31766a3d29583f261b4d62a3a4a906fa98e0a8dd79daa4f128882"),
+        ],
+    )
+    def test_saved_gnp_labels_unchanged(self, n, d, seed, digest):
+        self.check("gnp", n, d, seed, digest)
+
+    @staticmethod
+    def check(family, n, d, seed, digest):
+        g, w = bench_instance(family, n, d, seed)
         text = save_labels(label_graph(g, w))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
