@@ -21,6 +21,7 @@ from .twins import (
     sd_exact,
     sdd_exact,
     sdd_greedy,
+    sdd_greedy_escalate,
     check_witness,
     embed_sdd1,
     save_witness,

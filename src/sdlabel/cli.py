@@ -7,13 +7,11 @@ owning modules.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from . import balance, graph, hardness, labeling, model, twins
-
-BENCH_HEADER = "family,n,d,seed,model_width,balanced_width,max_label_bits,bound_bits,ratio"
+from .bench import bench_rows
 
 
 def _read(path: str) -> str:
@@ -167,86 +165,17 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def bench_instance(family: str, n: int, d: int, seed: int):
-    """One benchmark instance: a graph with a verified witness.
-
-    Families: ``embed`` ignores d and pads an embedded G(k, 1/2) with
-    isolated vertices to exactly n vertices (witness d = 1); ``rook``
-    needs square n and uses a greedy witness; ``gnp`` reads d as a target
-    density hint and escalates greedy search from it; ``shift`` reads n as
-    the shift parameter.
-    """
-    if family == "embed":
-        k = max(2, int(math.isqrt(n)) + 2)
-        while k >= 1:
-            base = graph.gen_gnp(k, 0.5, seed)
-            host, w, _ = twins.embed_sdd1(base)
-            if host.n <= n:
-                break
-            k -= 1
-        padded = graph.Graph(n, host.edges())
-        steps = list(w.steps)
-        survivor = host.n - 1
-        extras = list(range(host.n, n))
-        if extras:
-            steps.append((survivor, extras[0]))
-            steps.extend((extras[i], extras[i + 1]) for i in range(len(extras) - 1))
-        w = twins.SddWitness(1, tuple(steps))
-        g = padded
-    elif family == "rook":
-        a = math.isqrt(n)
-        if a * a != n:
-            raise ValueError("rook family needs a square n")
-        g = graph.gen_rook(a, a)
-        w = None
-    elif family == "gnp":
-        g = graph.gen_gnp(n, min(1.0, d / max(1, n - 1)), seed)
-        w = None
-    elif family == "shift":
-        g = graph.gen_shift(n)
-        w = None
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    if w is None:
-        probe = min(twins.sd_pair(g, u, v) for u in range(g.n) for v in range(u + 1, g.n))
-        dd = probe
-        while True:
-            w = twins.sdd_greedy(g, dd)
-            if w is not None:
-                break
-            dd += 1
-    if not twins.check_witness(g, w):
-        raise AssertionError("bench witness failed verification")
-    return g, w
-
-
-def bench_rows(rows) -> list[str]:
-    out = [BENCH_HEADER]
-    for family, n, d, seed in rows:
-        g, w = bench_instance(family, n, d, seed)
-        m = model.make_clean(model.stm_from_witness(g, w))
-        b = model.make_clean(balance.shallowise(m, w.d + 1))
-        labels = labeling.encode(b)
-        st = labeling.label_stats(labels)
-        denom = math.sqrt((w.d + 1) * g.n) * math.log2(g.n) ** 3
-        ratio = st.max_bits / denom
-        out.append(
-            f"{family},{g.n},{w.d},{seed},{model.width(m)},{model.width(b)},"
-            f"{st.max_bits},{st.bound_bits},{ratio:.6f}"
-        )
-    return out
-
-
 def cmd_bench(args) -> int:
     rows = []
     for lineno, raw in enumerate(_read(args.config).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"config line {lineno}: want `family n d seed`")
-        rows.append((parts[0], int(parts[1]), int(parts[2]), int(parts[3])))
+        try:
+            family, n, d, seed = line.split()
+            rows.append((family, int(n), int(d), int(seed)))
+        except ValueError:
+            raise ValueError(f"config line {lineno}: want `family n d seed`") from None
     _emit("\n".join(bench_rows(rows)) + "\n", args.output)
     return 0
 

@@ -31,6 +31,7 @@ __all__ = [
     "sd_exact",
     "sdd_exact",
     "sdd_greedy",
+    "sdd_greedy_escalate",
     "check_witness",
     "embed_sdd1",
     "save_witness",
@@ -230,6 +231,34 @@ def sdd_greedy(g: Graph, d: int):
         raise ValueError("empty graph")
     steps = _greedy_steps(g.neighbor_masks(), n, d)
     return None if steps is None else SddWitness(d, tuple(steps))
+
+
+def sdd_greedy_escalate(g: Graph) -> SddWitness:
+    """The sdd_greedy witness at the least level the greedy reaches.
+
+    The search starts at the graph's least pair sd, a lower bound on the
+    sd-degeneracy, and goes up one level at a time; greedy success is not
+    known to be monotone in d (sd-degeneracy is not hereditary), so the
+    levels are not bisected.  Every level reuses the same neighbour masks.
+    """
+    n = g.n
+    if n < 1:
+        raise ValueError("empty graph")
+    if n == 1:
+        return SddWitness(0, ())
+    masks = g.neighbor_masks()
+    # sd(u, v) = |N[u] ^ N(v)| - 1: the closed N[u] and the open N(v)
+    # differ in exactly one of the bits u, v.
+    least = n
+    for u in range(n - 1):
+        closed = masks[u] | (1 << u)
+        least = min(least, min((closed ^ m).bit_count() for m in masks[u + 1 :]))
+    d = least - 1
+    while True:
+        steps = _greedy_steps(masks, n, d)
+        if steps is not None:
+            return SddWitness(d, tuple(steps))
+        d += 1
 
 
 def _greedy_steps(masks, n: int, d: int):

@@ -8,9 +8,8 @@ from sdlabel import (
     gen_gnp,
     gen_rook,
     gen_shift,
-    sd_pair,
     sdd_exact,
-    sdd_greedy,
+    sdd_greedy_escalate,
     embed_sdd1,
     check_witness,
 )
@@ -35,19 +34,6 @@ def star_graph(n):
 
 def complete_bipartite(a, b):
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def greedy_escalate(g):
-    """Smallest greedy-reachable witness level, starting at the full
-    graph's minimum pair sd (a lower bound on the sd-degeneracy)."""
-    if g.n == 1:
-        return sdd_greedy(g, 0)
-    d = min(sd_pair(g, u, v) for u in range(g.n) for v in range(u + 1, g.n))
-    while True:
-        w = sdd_greedy(g, d)
-        if w is not None:
-            return w
-        d += 1
 
 
 def build_figure_model():
@@ -147,7 +133,7 @@ def build_corpus():
         corpus.append((name, g, w))
 
     def greedy(name, g):
-        corpus.append((name, g, greedy_escalate(g)))
+        corpus.append((name, g, sdd_greedy_escalate(g)))
 
     exact("K1", Graph(1))
     exact("K2", complete_graph(2))

@@ -23,7 +23,7 @@ from sdlabel import (
     sdd_exact,
 )
 from sdlabel.balance import complete_tree, interval_cover, shallowise, width_bound
-from sdlabel.cli import bench_rows
+from sdlabel.bench import bench_rows
 from sdlabel.graph import _splitmix64
 from sdlabel.hardness import (
     CnfFormula,

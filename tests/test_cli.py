@@ -2,7 +2,8 @@
 
 import pytest
 
-from sdlabel.cli import BENCH_HEADER, main
+from sdlabel.bench import BENCH_HEADER
+from sdlabel.cli import main
 
 
 def run(capsys, *argv):
@@ -167,6 +168,33 @@ class TestBench:
         assert lines[0] == BENCH_HEADER
         fields = lines[1].split(",")
         assert fields[0] == "embed" and fields[1] == "32" and fields[2] == "1"
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("embed 1 1 0", "bench needs n >= 2, got 1"),
+            ("gnp 1 0 0", "bench needs n >= 2, got 1"),
+            ("rook 1 1 0", "bench needs n >= 2, got 1"),
+            ("embed -5 1 0", "bench needs n >= 2, got -5"),
+            ("shift 2 0 0", "shift family needs n >= 3, got 2"),
+            ("rook 8 0 0", "rook family needs a square n"),
+            ("grid 9 0 0", "unknown family 'grid'"),
+        ],
+    )
+    def test_rejects_bad_row(self, tmp_path, capsys, row, message):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(f"embed 32 1 3\n{row}\n")
+        code, out, err = run(capsys, "bench", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("row", ["gnp 40 x 3", "gnp 40 4", "gnp 40 4 3 1", "rook 16 0 0.5"])
+    def test_malformed_config_line(self, tmp_path, capsys, row):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(f"# header\nembed 32 1 3\n{row}\n")
+        code, out, err = run(capsys, "bench", str(cfg))
+        assert code == 1 and out == ""
+        assert err == "error: config line 3: want `family n d seed`\n"
 
 
 class TestUsage:

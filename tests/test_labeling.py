@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdlabel import Graph, SddWitness, gen_gnp, gen_rook, sdd_exact, embed_sdd1
-from sdlabel.cli import bench_instance
+from sdlabel.bench import bench_instance
 from sdlabel.labeling import (
     AdjacencyLabel,
     _parse,

@@ -5,6 +5,8 @@
 are the earlier loops, which recomputed every pair's restricted sd at
 every step; witnesses and verdicts must match them exactly, since the
 labels of graphs without a given witness depend on the greedy's steps.
+``sdd_greedy_escalate`` finds its start level from neighbour masks; the
+reference escalation finds it with ``sd_pair`` on every pair.
 """
 
 import hashlib
@@ -12,7 +14,16 @@ import random
 
 import pytest
 
-from sdlabel import Graph, gen_gnp, gen_rook, is_diverse, save_witness, sd_pair, sdd_greedy
+from sdlabel import (
+    Graph,
+    gen_gnp,
+    gen_rook,
+    is_diverse,
+    save_witness,
+    sd_pair,
+    sdd_greedy,
+    sdd_greedy_escalate,
+)
 from sdlabel.twins import SddWitness, _witness_search
 
 from conftest import complete_graph
@@ -60,9 +71,15 @@ def reference_is_diverse(g, vertices, d):
     )
 
 
-def escalate(g):
-    """The bench witness search: the least pair sd, then greedy at rising d."""
-    d = min(sd_pair(g, u, v) for u in range(g.n) for v in range(u + 1, g.n))
+def least_pair_sd(g):
+    return min(sd_pair(g, u, v) for u in range(g.n) for v in range(u + 1, g.n))
+
+
+def reference_escalate(g):
+    """The least pair sd by sd_pair, then greedy at rising d; level 0 for K1."""
+    if g.n == 1:
+        return sdd_greedy(g, 0)
+    d = least_pair_sd(g)
     while True:
         w = sdd_greedy(g, d)
         if w is not None:
@@ -110,6 +127,15 @@ class TestGreedy:
             want = reference_greedy(g, 0)
             assert got == (None if want is None else list(want.steps))
 
+    def test_escalation_matches_reference(self):
+        levels, climbed = set(), 0
+        for g in [*random_graphs(), *special_graphs()]:
+            got = sdd_greedy_escalate(g)
+            assert got == reference_escalate(g), (g.n, g.edges())
+            levels.add(got.d)
+            climbed += g.n > 1 and got.d > least_pair_sd(g)
+        assert len(levels) > 5 and climbed > 50, (levels, climbed)
+
     @pytest.mark.parametrize(
         "p,seed,d,digest",
         [
@@ -126,7 +152,7 @@ class TestGreedy:
     )
     def test_escalation_witness_unchanged(self, p, seed, d, digest):
         # sha256 of save_witness, recorded with the all-pairs loop
-        w = escalate(gen_gnp(120, p, seed))
+        w = sdd_greedy_escalate(gen_gnp(120, p, seed))
         assert w.d == d
         assert hashlib.sha256(save_witness(w).encode()).hexdigest() == digest
 
