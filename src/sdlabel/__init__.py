@@ -43,7 +43,6 @@ from .model import (
 )
 from .balance import (
     CompleteTree,
-    IntervalCover,
     interval_cover,
     subtree_interval,
     shallowise,

@@ -1,5 +1,7 @@
 """Canonical interval covers on the complete binary tree, and balancing.
 
+The complete tree uses heap ids, so the cover of a leaf interval is the
+bottom-up segment-tree walk on those ids; no tree is built for it.
 Balancing (shallowising) re-expresses a clean signed tree model on the
 complete binary tree of depth ceil(log2 n) + 1: every signed pair is
 replaced by all pairs between the canonical covers of its endpoints'
@@ -18,7 +20,6 @@ from .model import GREEN, BLUE, SignedTreeModel, is_clean
 
 __all__ = [
     "CompleteTree",
-    "IntervalCover",
     "Orientation",
     "complete_tree",
     "interval_cover",
@@ -68,39 +69,37 @@ def complete_tree(n: int) -> CompleteTree:
     return CompleteTree(n)
 
 
-@dataclass(frozen=True)
-class IntervalCover:
-    """Antichain of complete-tree nodes whose leaf sets partition an interval."""
-
-    interval: tuple[int, int]
-    nodes: tuple[int, ...]
-
-
-def interval_cover(n: int, i: int, j: int) -> IntervalCover:
+def interval_cover(n: int, i: int, j: int) -> tuple[int, ...]:
     """The unique minimum cover of [i, j] by rooted subtrees of the
-    n-leaf complete tree; nodes in left-to-right order, at most
-    2*log2(n) of them (n >= 2).
+    n-leaf complete tree: its maximal nodes whose leaf interval fits inside
+    [i, j], as heap ids in left-to-right order, at most 2*log2(n) of them
+    (n >= 2).
 
-    The minimum cover consists exactly of the maximal nodes whose leaf
-    interval fits inside [i, j].
+    The complete tree is the top of the perfect tree on p = 2**ceil(log2 n)
+    leaves: positions 1..deep (deep = 2n - p) are perfect leaves 0..deep-1,
+    and each later position is a shallow leaf standing for two perfect
+    leaves.  The bottom-up segment-tree walk on 1-based heap ids then
+    climbs from the range of perfect leaves; a shallow leaf enters as both
+    halves of an even-aligned pair, so every node it emits exists.
     """
     if not 1 <= i <= j <= n:
         raise ValueError(f"bad interval [{i}, {j}] for n={n}")
-    tree = complete_tree(n)
-    out: list[int] = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        lo, hi = tree.interval[node]
-        if i <= lo and hi <= j:
-            out.append(node)
-            continue
-        if hi < i or lo > j:
-            continue
-        l, r = tree.children[node]
-        stack.append(r)
-        stack.append(l)
-    return IntervalCover((i, j), tuple(out))
+    p = 1 << (n - 1).bit_length()
+    deep = 2 * n - p
+    lo = p + (i - 1 if i <= deep else 2 * i - deep - 2)
+    hi = p + (j if j <= deep else 2 * j - deep)
+    left: list[int] = []
+    right: list[int] = []
+    while lo < hi:
+        if lo & 1:
+            left.append(lo - 1)
+            lo += 1
+        if hi & 1:
+            hi -= 1
+            right.append(hi - 1)
+        lo >>= 1
+        hi >>= 1
+    return tuple(left + right[::-1])
 
 
 def subtree_interval(m: SignedTreeModel, node: int) -> tuple[int, int]:
@@ -189,37 +188,26 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
         )
     n = m.n_leaves
     tree = complete_tree(n)
-    intervals = m.node_intervals()
+    cover = [interval_cover(n, lo, hi) for lo, hi in m.node_intervals()]
+    depth = m.depth
+    signed = m.signed_pairs()
 
-    cover_of: dict[int, tuple[int, ...]] = {}
-
-    def cover(node: int) -> tuple[int, ...]:
-        got = cover_of.get(node)
-        if got is None:
-            lo, hi = intervals[node]
-            got = interval_cover(n, lo, hi).nodes
-            cover_of[node] = got
-        return got
-
-    # best[ab] = (origin pair, color) with the deepest origin seen so far
+    # Origins in increasing depth sum, so a strict ancestor pair (smaller
+    # sum) comes first and the deepest origin of an emitted pair overwrites
+    # the rest.  best[ab] = (origin pair, color) of the deepest one so far.
     best: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
-    for (x, y), color in sorted(m.signed_pairs().items()):
-        origin = (x, y)
-        for a in cover(x):
-            for b in cover(y):
+    for origin in sorted(signed, key=lambda p: (depth[p[0]] + depth[p[1]], p)):
+        x, y = origin
+        for a in cover[x]:
+            for b in cover[y]:
                 ab = (a, b) if a < b else (b, a)
                 cur = best.get(ab)
-                if cur is None:
-                    best[ab] = (origin, color)
-                    continue
-                cur_origin, cur_color = cur
-                if m.pair_leq(cur_origin, origin):
-                    best[ab] = (origin, color)
-                elif not m.pair_leq(origin, cur_origin):
+                if cur is not None and not m.pair_leq(cur[0], origin):
                     raise AssertionError(
-                        f"incomparable origins {cur_origin} and {origin} "
+                        f"incomparable origins {cur[0]} and {origin} "
                         f"for emitted pair {ab}"
                     )
+                best[ab] = (origin, signed[origin])
     green = {ab for ab, (_, c) in best.items() if c == GREEN}
     blue = {ab for ab, (_, c) in best.items() if c == BLUE}
 

@@ -68,22 +68,22 @@ def bench_instance(family: str, n: int, d: int, seed: int):
     return g, w
 
 
-def bench_rows(rows) -> list[str]:
-    """The CSV lines, header first, for (family, n, d, seed) rows.
+def bench_row(family: str, n: int, d: int, seed: int) -> str:
+    """The CSV line for one (family, n, d, seed) row.
 
     The ``d`` column is the level of the witness used, not the row's d.
     """
-    out = [BENCH_HEADER]
-    for family, n, d, seed in rows:
-        g, w = bench_instance(family, n, d, seed)
-        m = model.make_clean(model.stm_from_witness(g, w))
-        b = model.make_clean(balance.shallowise(m, w.d + 1))
-        labels = labeling.encode(b)
-        st = labeling.label_stats(labels)
-        denom = math.sqrt((w.d + 1) * g.n) * math.log2(g.n) ** 3
-        ratio = st.max_bits / denom
-        out.append(
-            f"{family},{g.n},{w.d},{seed},{model.width(m)},{model.width(b)},"
-            f"{st.max_bits},{st.bound_bits},{ratio:.6f}"
-        )
-    return out
+    g, w = bench_instance(family, n, d, seed)
+    m = model.make_clean(model.stm_from_witness(g, w))
+    b = model.make_clean(balance.shallowise(m, w.d + 1))
+    st = labeling.label_stats(labeling.encode(b))
+    ratio = st.max_bits / (math.sqrt((w.d + 1) * g.n) * math.log2(g.n) ** 3)
+    return (
+        f"{family},{g.n},{w.d},{seed},{model.width(m)},{model.width(b)},"
+        f"{st.max_bits},{st.bound_bits},{ratio:.6f}"
+    )
+
+
+def bench_rows(rows) -> list[str]:
+    """The CSV lines, header first, for (family, n, d, seed) rows."""
+    return [BENCH_HEADER] + [bench_row(*row) for row in rows]

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import balance, graph, hardness, labeling, model, twins
-from .bench import bench_rows
+from .bench import BENCH_HEADER, bench_row
 
 
 def _read(path: str) -> str:
@@ -173,10 +173,16 @@ def cmd_bench(args) -> int:
             continue
         try:
             family, n, d, seed = line.split()
-            rows.append((family, int(n), int(d), int(seed)))
+            rows.append((lineno, (family, int(n), int(d), int(seed))))
         except ValueError:
             raise ValueError(f"config line {lineno}: want `family n d seed`") from None
-    _emit("\n".join(bench_rows(rows)) + "\n", args.output)
+    out = [BENCH_HEADER]
+    for lineno, row in rows:
+        try:
+            out.append(bench_row(*row))
+        except ValueError as e:
+            raise ValueError(f"config line {lineno}: {e}") from None
+    _emit("\n".join(out) + "\n", args.output)
     return 0
 
 

@@ -173,7 +173,7 @@ def test_07_interval_covers():
             for j in range(i, n + 1):
                 c = interval_cover(n, i, j)
                 best, count = min_cover_oracle(n, i, j)
-                if len(c.nodes) != best or count != 1:
+                if len(c) != best or count != 1:
                     bad += 1
     # 2 log2 n bound for every interval up to n = 1024, via the identity
     # cover_size[i, j] = sum over nodes of (+1 for a contained leaf, -1 for
@@ -202,7 +202,7 @@ def test_07_interval_covers():
             # cross-check the difference-array identity against real covers
             for i in range(1, n + 1):
                 for j in range(i, n + 1):
-                    if sizes[i - 1, j - 1] != len(interval_cover(n, i, j).nodes):
+                    if sizes[i - 1, j - 1] != len(interval_cover(n, i, j)):
                         bad += 1
     report(7, bad == 0, f"worst cover size at n=1024: {worst[1024]}")
 

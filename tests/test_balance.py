@@ -1,12 +1,15 @@
 """Complete-tree interval covers, shallowisation, and the width bound."""
 
+import hashlib
 import math
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdlabel import Graph, gen_gnp, sdd_exact
+from sdlabel.bench import bench_instance
 from sdlabel.balance import (
     Orientation,
     complete_tree,
@@ -21,6 +24,7 @@ from sdlabel.model import (
     is_clean,
     make_clean,
     realize,
+    save_stm,
     stm_from_witness,
     validate,
     width,
@@ -155,19 +159,69 @@ class TestCompleteTreeReference:
         assert sorted(t.leaf_of_pos[1:]) == list(range(n - 1, 2 * n - 1))
 
 
+def reference_interval_cover(n, i, j):
+    """The top-down stack walk that interval_cover used before the bottom-up
+    heap walk.  Node intervals come from the size split of
+    reference_complete_tree instead of complete_tree(n), so a check over
+    thousands of n builds no tree."""
+    out = []
+    stack = [(0, 1, n)]
+    while stack:
+        node, lo, hi = stack.pop()
+        if i <= lo and hi <= j:
+            out.append(node)
+            continue
+        if hi < i or lo > j:
+            continue
+        s = hi - lo + 1
+        d = (s - 1).bit_length()
+        mid = lo + (1 if s == 2 else min(1 << (d - 1), s - (1 << (d - 2)))) - 1
+        stack.append((2 * node + 2, mid + 1, hi))
+        stack.append((2 * node + 1, lo, mid))
+    return tuple(out)
+
+
+class TestIntervalCoverReference:
+    """interval_cover(n, i, j) equals the top-down walk it replaced."""
+
+    def test_every_interval_small(self):
+        for n in range(1, 65):
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    assert interval_cover(n, i, j) == reference_interval_cover(n, i, j)
+
+    def test_boundary_and_random_intervals(self):
+        # Positions 1, deep, deep + 1 and n are where the perfect leaves
+        # end and the shallow leaves begin.
+        rng = random.Random(7)
+        sizes = list(range(65, 3001)) + [4095, 4096, 4097, 16383, 16384, 16385]
+        for n in sizes:
+            deep = 2 * n - (1 << (n - 1).bit_length())
+            ends = sorted({1, deep, min(deep + 1, n), n})
+            intervals = [(i, j) for i in ends for j in ends if i <= j]
+            for e in ends:
+                intervals.append((e, rng.randint(e, n)))
+                intervals.append((rng.randint(1, e), e))
+            for _ in range(4):
+                i, j = sorted((rng.randint(1, n), rng.randint(1, n)))
+                intervals.append((i, j))
+            for i, j in intervals:
+                assert interval_cover(n, i, j) == reference_interval_cover(n, i, j), (n, i, j)
+
+
 class TestIntervalCover:
     def test_whole_range(self):
-        assert interval_cover(8, 1, 8).nodes == (0,)
+        assert interval_cover(8, 1, 8) == (0,)
 
     def test_single_leaf(self):
         c = interval_cover(8, 1, 1)
         t = complete_tree(8)
-        assert c.nodes == (t.leaf_of_pos[1],)
+        assert c == (t.leaf_of_pos[1],)
 
     def test_middle_range(self):
         t = complete_tree(8)
         c = interval_cover(8, 2, 7)
-        assert [t.interval[x] for x in c.nodes] == [(2, 2), (3, 4), (5, 6), (7, 7)]
+        assert [t.interval[x] for x in c] == [(2, 2), (3, 4), (5, 6), (7, 7)]
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
@@ -182,16 +236,16 @@ class TestIntervalCover:
             for j in range(i, n + 1):
                 c = interval_cover(n, i, j)
                 best, count = min_cover_oracle(n, i, j)
-                assert len(c.nodes) == best
+                assert len(c) == best
                 assert count == 1  # unique minimum
                 leaves = [
                     p
-                    for x in c.nodes
+                    for x in c
                     for p in range(t.interval[x][0], t.interval[x][1] + 1)
                 ]
                 assert leaves == list(range(i, j + 1))  # ordered partition
-                for a in c.nodes:
-                    for b in c.nodes:
+                for a in c:
+                    for b in c:
                         if a != b:
                             la, ha = t.interval[a]
                             lb, hb = t.interval[b]
@@ -201,7 +255,7 @@ class TestIntervalCover:
     def test_two_log_bound_sampled(self, n):
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                assert len(interval_cover(n, i, j).nodes) <= 2 * math.log2(n)
+                assert len(interval_cover(n, i, j)) <= 2 * math.log2(n)
 
 
 class TestSubtreeInterval:
@@ -321,6 +375,18 @@ class TestShallowise:
         assert conflicted in b.blue and conflicted not in b.green
         assert realize(b) == realize(m)
 
+    def test_incomparable_origins_raise(self):
+        # a clean model whose pairs (4, 7) and (1, 10) cross: both emit the
+        # complete-tree pair (6, 8), and neither origin is above the other
+        children = [None] * 7 + [(1, 2), (0, 7), (5, 6), (3, 4), (9, 10), (8, 11)]
+        leafv = list(range(7)) + [-1] * 6
+        green = [(0, 7), (1, 2), (3, 4), (4, 7), (5, 6), (8, 11), (9, 10)]
+        blue = [(0, 1), (0, 4), (1, 10), (4, 9)]
+        m = SignedTreeModel(children, leafv, green, blue)
+        assert is_clean(m)
+        with pytest.raises(AssertionError, match="incomparable origins"):
+            shallowise(m, 2)
+
     def test_requires_clean(self):
         children = [None, None, (0, 1)]
         m = SignedTreeModel(children, [0, 1, -1])
@@ -348,3 +414,25 @@ class TestShallowise:
         d, w = sdd_exact(g)
         b = shallowise(stm_from_witness(g, w), d + 1)
         assert width(b) <= width_bound(len(b.green | b.blue))
+
+
+class TestBalancedFingerprints:
+    """sha256 of the saved balanced model, as `sdlabel balance` writes it,
+    pinned from the top-down cover walk and the sorted-pair origin order."""
+
+    @pytest.mark.parametrize(
+        "family,n,d,seed,digest",
+        [
+            ("embed", 512, 1, 1, "e250d3f11128d71f91f977fa697a4be8ecf51563e770f765d605f3ec3126f81c"),
+            ("embed", 512, 1, 2, "5ea16217cc3149980f6afefdd082a966190bbb9bd08d54d74ad32b23e4db8dbf"),
+            ("embed", 512, 1, 3, "301e0f6f2279f85b0e01aa35fb9ab301f8f53a68c1274dd4897c12b9f273c05e"),
+            ("rook", 256, 1, 0, "2d369d688d21615cdccbd65600ae7052a2eff03567c3a4f5e24974e386753839"),
+            ("gnp", 120, 6, 1, "0f9b6f4c76e48407f094d1442fc60bb091fa3221ba3fd63c9cf0bf4d0a46826e"),
+            ("gnp", 120, 12, 2, "eb115f3927dc7f603fb51f1efcdb0958f909afb36b45f5296075b96388ad6e22"),
+        ],
+    )
+    def test_saved_balanced_model_unchanged(self, family, n, d, seed, digest):
+        g, w = bench_instance(family, n, d, seed)
+        b = shallowise(make_clean(stm_from_witness(g, w)), w.d + 1)
+        text = save_stm(b, complete=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -179,6 +179,7 @@ class TestBench:
             ("shift 2 0 0", "shift family needs n >= 3, got 2"),
             ("rook 8 0 0", "rook family needs a square n"),
             ("grid 9 0 0", "unknown family 'grid'"),
+            ("gnp 40 -3 0", "probability out of range: -0.07692307692307693"),
         ],
     )
     def test_rejects_bad_row(self, tmp_path, capsys, row, message):
@@ -186,7 +187,7 @@ class TestBench:
         cfg.write_text(f"embed 32 1 3\n{row}\n")
         code, out, err = run(capsys, "bench", str(cfg))
         assert code == 1 and out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: config line 2: {message}\n"
 
     @pytest.mark.parametrize("row", ["gnp 40 x 3", "gnp 40 4", "gnp 40 4 3 1", "rook 16 0 0.5"])
     def test_malformed_config_line(self, tmp_path, capsys, row):
