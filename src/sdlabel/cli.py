@@ -119,6 +119,8 @@ def cmd_decode(args) -> int:
 def cmd_verify(args) -> int:
     g = graph.load_edge_list(_read(args.graph))
     labels = labeling.load_labels(_read(args.labels))
+    if g.n != len(labels):
+        raise ValueError(f"graph has {g.n} vertices, label file has {len(labels)}")
     decoded = labeling.decode_matrix(labels)
     mism = 0
     for u in range(g.n):

@@ -77,8 +77,10 @@ def load_cnf(text: str) -> CnfFormula:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if num_vars is not None:
+                raise ValueError(f"line {lineno}: duplicate header")
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"malformed header {line!r}")
+                raise ValueError(f"line {lineno}: malformed header {line!r}")
             try:
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:

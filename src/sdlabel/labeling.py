@@ -16,7 +16,8 @@ endpoint peeled earlier in the degeneracy order of the pair graph, so
 per-node counts never exceed the scheme width.  Two labels decode
 adjacency alone: the stored entries whose endpoints fall on opposite path
 suffixes below the meet of the two paths form a chain, and the deepest
-one's color decides.
+one's color decides.  The decoder picks it with ``model.deepest_pair``, the
+same routine ``model.resolve`` uses on a whole model.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .balance import orient_low_outdegree, shallowise, width_bound
 from .graph import Graph
-from .model import BLUE, SignedTreeModel, is_clean, make_clean, stm_from_witness
+from .model import BLUE, SignedTreeModel, deepest_pair, is_clean, make_clean, stm_from_witness
 from .twins import SddWitness
 
 __all__ = [
@@ -173,29 +174,10 @@ def _decode_parsed(a: _Parsed, b: _Parsed) -> bool:
         raise ValueError("labels come from different encodings")
     if a.path == b.path:
         raise ValueError("labels describe the same leaf")
-    a_pos = {node: i for i, node in enumerate(a.path)}
-    b_pos = {node: i for i, node in enumerate(b.path)}
-    # Candidates are stored entries (x, y) with x on one path only and y on
-    # the other path only; their depth is the sum of path positions.
-    cands = {}
-    for side, own_pos, other_pos in ((a, a_pos, b_pos), (b, b_pos, a_pos)):
-        for i, x in enumerate(side.path):
-            if x in other_pos:
-                continue
-            for y, colorbit in side.entries[i]:
-                j = other_pos.get(y)
-                if j is None or y in own_pos:
-                    continue
-                key = (x, y) if x < y else (y, x)
-                cands[key] = (i + j, colorbit)
-    if not cands:
+    best = deepest_pair(a.path, a.entries, b.path, b.entries)
+    if best is None:
         raise ValueError("no signed pair covers the leaf pair; corrupt labels")
-    ranked = sorted((depth, key, colorbit) for key, (depth, colorbit) in cands.items())
-    # Non-crossing models make the candidates a chain, so depths are distinct.
-    for (d1, k1, _), (d2, k2, _) in zip(ranked, ranked[1:]):
-        if d1 == d2:
-            raise ValueError(f"candidates {k1} and {k2} are unordered; corrupt labels")
-    return ranked[-1][2] == 1
+    return best[2] == 1
 
 
 def decode(a: AdjacencyLabel, b: AdjacencyLabel) -> bool:

@@ -7,7 +7,9 @@ cross.  Two leaves are adjacent in the realized graph iff some blue pair
 sits weakly above them with no green pair strictly between it and the
 leaf pair; in a clean model (every sibling pair signed) the deepest
 signed pair above a leaf pair always exists and its color decides
-adjacency.
+adjacency.  :func:`deepest_pair` finds that pair from two root paths and
+the pairs stored at their nodes; :func:`resolve` calls it on a model and
+the label decoder on two parsed labels.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "pairs_cross",
     "width",
     "sparsity",
+    "deepest_pair",
     "resolve",
     "realize",
     "make_clean",
@@ -411,39 +414,54 @@ def make_clean(m: SignedTreeModel) -> SignedTreeModel:
     )
 
 
-def _candidates(m: SignedTreeModel, leaf_u: int, leaf_v: int):
-    """Signed pairs weakly above the leaf pair, as (depth_sum, pair, color)."""
-    pu = m.root_path(leaf_u)
-    pv = m.root_path(leaf_v)
-    cp = 0
-    for x, y in zip(pu, pv):
-        if x != y:
-            break
-        cp += 1
-    vside = {node: i for i, node in enumerate(pv[cp:], start=cp)}
-    inc = m.incident()
-    out = []
-    for i in range(cp, len(pu)):
-        x = pu[i]
-        for y, color in inc.get(x, ()):
-            j = vside.get(y)
-            if j is not None:
-                out.append((i + j, _norm(x, y), color))
-    return out
+def deepest_pair(path_a, entries_a, path_b, entries_b):
+    """The deepest signed pair joining two root paths, as (depth, pair, color).
+
+    ``entries_x[i]`` lists the (other endpoint, color) pairs stored at
+    ``path_x[i]``; a pair may be listed at one endpoint or at both.  A
+    candidate joins a node on one path only to a node on the other path
+    only, and its depth is the sum of the two path positions.  Returns None
+    without a candidate.  In a non-crossing model the candidates form a
+    chain, so two of equal depth raise ValueError.
+    """
+    a_pos = {node: i for i, node in enumerate(path_a)}
+    b_pos = {node: i for i, node in enumerate(path_b)}
+    cands = {}
+    for path, entries, own_pos, other_pos in (
+        (path_a, entries_a, a_pos, b_pos),
+        (path_b, entries_b, b_pos, a_pos),
+    ):
+        for i, x in enumerate(path):
+            if x in other_pos:
+                continue
+            for y, color in entries[i]:
+                j = other_pos.get(y)
+                if j is not None and y not in own_pos:
+                    pair = _norm(x, y)
+                    cands[pair] = (i + j, pair, color)
+    ranked = sorted(cands.values())
+    for (d1, p1, _), (d2, p2, _) in zip(ranked, ranked[1:]):
+        if d1 == d2:
+            raise ValueError(f"signed pairs {p1} and {p2} tie at depth {d1}")
+    return ranked[-1] if ranked else None
 
 
 def resolve(m: SignedTreeModel, u: int, v: int) -> ResolvedEdge:
     """The unique deepest signed pair weakly above leaves of vertices u, v.
 
-    Defined on clean models; raises if no signed pair covers the leaf pair.
+    Defined on clean models; raises if no signed pair covers the leaf pair
+    or if two do at the same depth (crossing pairs).
     """
     if u == v:
         raise ValueError("resolve needs distinct vertices")
     vl = m.vertex_leaf()
-    cands = _candidates(m, vl[u], vl[v])
-    if not cands:
+    pu, pv = m.root_path(vl[u]), m.root_path(vl[v])
+    inc = m.incident()
+    # incident() lists each pair at both endpoints, so u's path finds them all
+    best = deepest_pair(pu, [inc.get(x, ()) for x in pu], pv, [()] * len(pv))
+    if best is None:
         raise ValueError(f"no signed pair above ({u}, {v}); model is not clean")
-    return ResolvedEdge(*max(cands)[1:])
+    return ResolvedEdge(*best[1:])
 
 
 def realize(m: SignedTreeModel) -> Graph:
@@ -674,7 +692,15 @@ def save_stm(m: SignedTreeModel, complete: bool = False) -> str:
 
 
 def load_stm(text: str) -> SignedTreeModel:
-    n_nodes = None
+    """Parse the `p stm` format.
+
+    Rejects, with the line number, a malformed or repeated header, a record
+    before the header, a record with the wrong field count, a node or
+    parent id out of range, a repeated node, and a node or leaf count other
+    than the header's.
+    """
+    n_nodes = n_leaves = None
+    header_line = 0
     parent = {}
     leafv = {}
     green = []
@@ -684,25 +710,43 @@ def load_stm(text: str) -> SignedTreeModel:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        try:
-            if parts[0] == "p":
-                if parts[1] != "stm" or len(parts) not in (4, 6):
+        if parts[0] == "p":
+            if n_nodes is not None:
+                raise ValueError(f"line {lineno}: duplicate header")
+            try:
+                if parts[1] != "stm" or parts[4:] not in ([], ["complete", "1"]):
                     raise ValueError
-                n_nodes = int(parts[2])
-            elif parts[0] == "t":
-                node, par, lv = int(parts[1]), int(parts[2]), int(parts[3])
-                parent[node] = par
-                leafv[node] = lv
-            elif parts[0] == "g":
-                green.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "b":
-                blue.append((int(parts[1]), int(parts[2])))
-            else:
+                n_nodes, n_leaves = int(parts[2]), int(parts[3])
+            except (ValueError, IndexError):
+                raise ValueError(f"line {lineno}: malformed header {line!r}") from None
+            header_line = lineno
+            continue
+        if n_nodes is None:
+            raise ValueError(f"line {lineno}: record before header")
+        try:
+            if len(parts) != {"t": 4, "g": 3, "b": 3}.get(parts[0]):
                 raise ValueError
-        except (ValueError, IndexError):
+            fields = tuple(int(x) for x in parts[1:])
+        except ValueError:
             raise ValueError(f"line {lineno}: malformed record {line!r}") from None
-    if n_nodes is None or sorted(parent) != list(range(n_nodes)):
-        raise ValueError("incomplete node table")
+        if parts[0] == "t":
+            node, par, lv = fields
+            if not 0 <= node < n_nodes:
+                raise ValueError(f"line {lineno}: node {node} out of range [0, {n_nodes})")
+            if not -1 <= par < n_nodes:
+                raise ValueError(f"line {lineno}: parent {par} of node {node} out of range")
+            if node in parent:
+                raise ValueError(f"line {lineno}: repeated node {node}")
+            parent[node] = par
+            leafv[node] = lv
+        else:
+            (green if parts[0] == "g" else blue).append(fields)
+    if n_nodes is None:
+        raise ValueError("missing `p stm` header")
+    if len(parent) != n_nodes:
+        raise ValueError(
+            f"line {header_line}: header declares {n_nodes} nodes, found {len(parent)}"
+        )
     kids = defaultdict(list)
     for node in range(n_nodes):
         if parent[node] != -1:
@@ -716,4 +760,9 @@ def load_stm(text: str) -> SignedTreeModel:
             children.append(tuple(ch))
         else:
             raise ValueError(f"node {node} has {len(ch)} children")
+    if children.count(None) != n_leaves:
+        raise ValueError(
+            f"line {header_line}: header declares {n_leaves} leaves, "
+            f"node table has {children.count(None)}"
+        )
     return SignedTreeModel(children, [leafv[i] for i in range(n_nodes)], green, blue)

@@ -91,6 +91,26 @@ class TestPipelines:
         code, out, _ = run(capsys, "verify", str(g), str(lf))
         assert code == 1 and out.strip() == "FAIL 1 mismatches"
 
+    @pytest.mark.parametrize("n_graph", [8, 14])
+    def test_verify_rejects_vertex_count_mismatch(self, tmp_path, capsys, n_graph):
+        g = tmp_path / "g.el"
+        wf = tmp_path / "w.ord"
+        lf = tmp_path / "L.lbl"
+        main(["gen", "--kind", "gnp", "--n", "12", "--p", "0.3", "--seed", "1",
+              "-o", str(g)])
+        main(["order", "--mode", "exact", str(g), "-o", str(wf)])
+        main(["label", str(g), str(wf), "-o", str(lf)])
+        # the labelled graph cut to its first 8 vertices, or padded to 14
+        from sdlabel import Graph, load_edge_list, save_edge_list
+
+        gg = load_edge_list(g.read_text())
+        edges = [e for e in gg.edges() if max(e) < n_graph]
+        g.write_text(save_edge_list(Graph(n_graph, edges)))
+        capsys.readouterr()
+        code, out, err = run(capsys, "verify", str(g), str(lf))
+        assert code == 1 and out == ""
+        assert err == f"error: graph has {n_graph} vertices, label file has 12\n"
+
     def test_model_clean_balance_round_trip(self, tmp_path, capsys):
         g = tmp_path / "g.el"
         wf = tmp_path / "w.ord"

@@ -42,7 +42,13 @@ class TestCnf:
 
     @pytest.mark.parametrize(
         "text",
-        ["1 2 0\n", "p cnf 2 1\n1 2\n", "p cnf 1 1\n5 0\n", "p cnf 2 2\n1 0\n"],
+        [
+            "1 2 0\n",
+            "p cnf 2 1\n1 2\n",
+            "p cnf 1 1\n5 0\n",
+            "p cnf 2 2\n1 0\n",
+            "p cnf 2 1\np cnf 3 1\n1 -2 0\n",
+        ],
     )
     def test_rejects(self, text):
         with pytest.raises(ValueError):
@@ -55,6 +61,8 @@ class TestCnf:
             ("c x\np cnf 1 b\n1 0\n", "line 2: malformed header 'p cnf 1 b'"),
             ("p cnf 2 1\n1\nx 0\n", "line 3: malformed literal 'x'"),
             ("p cnf 2 1\n1 -2 0.5 0\n", "line 2: malformed literal '0.5'"),
+            ("p cnf 2 1\np cnf 3 1\n1 -2 0\n", "line 2: duplicate header"),
+            ("c x\np cnf 2\n1 0\n", "line 2: malformed header 'p cnf 2'"),
         ],
     )
     def test_malformed_integer_names_line(self, text, message):

@@ -1,7 +1,8 @@
 """Adjacency labels: layout, two-label decoding, and the full pipeline."""
 
 import hashlib
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,42 @@ from sdlabel.labeling import (
 from sdlabel.model import SignedTreeModel, make_clean, realize, stm_from_witness
 
 from conftest import build_figure_model, complete_graph
+
+
+def reference_decode_parsed(a, b):
+    """The decoder's former candidate loop, kept to compare against."""
+    if (a.n, a.id_bits, a.width) != (b.n, b.id_bits, b.width):
+        raise ValueError("labels come from different encodings")
+    if a.path == b.path:
+        raise ValueError("labels describe the same leaf")
+    a_pos = {node: i for i, node in enumerate(a.path)}
+    b_pos = {node: i for i, node in enumerate(b.path)}
+    cands = {}
+    for side, own_pos, other_pos in ((a, a_pos, b_pos), (b, b_pos, a_pos)):
+        for i, x in enumerate(side.path):
+            if x in other_pos:
+                continue
+            for y, colorbit in side.entries[i]:
+                j = other_pos.get(y)
+                if j is None or y in own_pos:
+                    continue
+                key = (x, y) if x < y else (y, x)
+                cands[key] = (i + j, colorbit)
+    if not cands:
+        raise ValueError("no signed pair covers the leaf pair; corrupt labels")
+    ranked = sorted((depth, key, colorbit) for key, (depth, colorbit) in cands.items())
+    for (d1, k1, _), (d2, k2, _) in zip(ranked, ranked[1:]):
+        if d1 == d2:
+            raise ValueError(f"candidates {k1} and {k2} are unordered; corrupt labels")
+    return ranked[-1][2] == 1
+
+
+def reference_decode(a, b):
+    """True/False from the reference decoder, or ValueError if it raises."""
+    try:
+        return reference_decode_parsed(_parse(a), _parse(b))
+    except ValueError:
+        return ValueError
 
 
 def witness_labels(g):
@@ -142,6 +179,43 @@ class TestDecode:
             except ValueError:
                 continue
             assert isinstance(got, bool)
+
+
+class TestDecodeReference:
+    def test_corpus_pairs(self, corpus):
+        checked = 0
+        for name, g, w in corpus[:25]:
+            labels = label_graph(g, w)
+            for u, v in permutations(sorted(labels), 2):
+                got = decode(labels[u], labels[v])
+                assert got == reference_decode(labels[u], labels[v]) == g.has_edge(u, v), name
+                checked += 1
+        assert checked > 1000
+
+    def test_single_bit_flips(self):
+        rng = random.Random(9)
+        instances = [
+            bench_instance(*args)
+            for args in (("embed", 64, 1, 1), ("rook", 36, 1, 0), ("gnp", 40, 6, 1))
+        ]
+        sets = [(g, label_graph(g, w)) for g, w in instances]
+        ties = wrong = 0
+        for _ in range(2400):
+            g, labels = rng.choice(sets)
+            u, v = rng.sample(sorted(labels), 2)
+            k = rng.randrange(labels[u].nbits)
+            data = bytearray(labels[u].data)
+            data[k // 8] ^= 1 << (7 - k % 8)
+            flipped = AdjacencyLabel(bytes(data), labels[u].nbits)
+            try:
+                got = decode(flipped, labels[v])
+            except ValueError as exc:
+                got = ValueError
+                ties += "tie at depth" in str(exc)
+            assert got == reference_decode(flipped, labels[v]), (u, v, k)
+            wrong += got is not ValueError and got != g.has_edge(u, v)
+        # the flips reach the decider's tie check and also decode silently wrong
+        assert ties > 0 and wrong > 0
 
 
 class TestLabelGraph:

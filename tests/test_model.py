@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sdlabel import Graph, check_witness, embed_sdd1, gen_gnp, sdd_exact
 from sdlabel.model import (
     GREEN,
+    ResolvedEdge,
     SignedTreeModel,
     canonical_bfs,
     is_clean,
@@ -40,6 +41,40 @@ def trivial_model(g):
         leafv.append(-1)
         roots = [len(children) - 1] + roots[2:]
     return SignedTreeModel(children, leafv, [], g.edges())
+
+
+def reference_resolve(m, u, v):
+    """The deepest pair above the leaves of u and v, by the former
+    `_candidates` scan: pairs from u's path below the meet to v's, and
+    `max` over (depth sum, pair, color) with no tie check."""
+    vl = m.vertex_leaf()
+    pu = m.root_path(vl[u])
+    pv = m.root_path(vl[v])
+    cp = 0
+    for x, y in zip(pu, pv):
+        if x != y:
+            break
+        cp += 1
+    vside = {node: i for i, node in enumerate(pv[cp:], start=cp)}
+    inc = m.incident()
+    cands = []
+    for i in range(cp, len(pu)):
+        x = pu[i]
+        for y, color in inc.get(x, ()):
+            j = vside.get(y)
+            if j is not None:
+                cands.append((i + j, (min(x, y), max(x, y)), color))
+    if not cands:
+        raise ValueError(f"no signed pair above ({u}, {v}); model is not clean")
+    return ResolvedEdge(*max(cands)[1:])
+
+
+def outcome(fn, *args):
+    """fn(*args), or the ValueError class if it raises one."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
 
 
 @st.composite
@@ -183,6 +218,31 @@ class TestRealizeResolve:
         m = SignedTreeModel([None, None, (0, 1)], [0, 1, -1])
         with pytest.raises(ValueError, match="not clean"):
             resolve(m, 0, 1)
+
+    @given(random_models())
+    @settings(max_examples=60)
+    def test_resolve_matches_reference(self, mgd):
+        m, _, _ = mgd
+        for model in (m, make_clean(m)):
+            for u, v in combinations(range(model.n_leaves), 2):
+                got = outcome(resolve, model, u, v)
+                assert got == outcome(reference_resolve, model, u, v)
+                assert got == outcome(resolve, model, v, u)
+
+    def test_resolve_rejects_crossing_pairs(self):
+        # (0, 5) and (2, 4) cross and both sit at depth 3 above leaves 0, 2
+        m = SignedTreeModel(
+            [None] * 4 + [(0, 1), (2, 3), (4, 5)],
+            [0, 1, 2, 3, -1, -1, -1],
+            [(0, 5), (0, 1), (2, 3), (4, 5)],
+            [(2, 4)],
+        )
+        ok, issues = validate(m)
+        assert not ok and issues == ["pairs (2, 4) and (0, 5) cross"]
+        assert reference_resolve(m, 0, 2) == ResolvedEdge((2, 4), "blue")
+        with pytest.raises(ValueError) as err:
+            resolve(m, 0, 2)
+        assert str(err.value) == "signed pairs (0, 5) and (2, 4) tie at depth 3"
 
     @given(random_models())
     @settings(max_examples=100)
@@ -342,8 +402,37 @@ class TestSerialization:
             "t 0 -1 0\n",
             "p stm 2 1\nt 0 -1 -1\nt 1 0 0\n",
             "p stm 1 1\nt 0 -1 0\ng 0 zero\n",
+            "p stm 1 1\nt 0 -1 0\nt 0 -1 0\n",
+            "p stm 1 1\np stm 1 1\nt 0 -1 0\n",
+            "p stm 3 1\nt 0 -1 -1\nt 1 0 0\nt 2 0 1\n",
+            "p stm 1 1\nt 0 -1 0 7\n",
+            "p stm 3 2\nt 0 -1 -1\nt 1 0 0\nt 2 0 1\ng 1 2 0\n",
+            "p stm 3 2\nt 0 -1 -1\nt 1 0 0\nt 2 0 1\nb 1 2 0\n",
+            "p stm 3 2 foo bar\nt 0 -1 -1\nt 1 0 0\nt 2 0 1\n",
+            "p stm 1 1\nt 0 5 0\n",
+            "p stm 3 2\nt 0 -1 -1\nt 1 0 0\nt 2 3 1\n",
         ],
     )
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             load_stm(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p stm 1 1\nt 0 -1 0\n# again\nt 0 -1 0\n", "line 4: repeated node 0"),
+            ("p stm 1 1\np stm 1 1\n", "line 2: duplicate header"),
+            ("p stm 3 1\nt 0 -1 -1\nt 1 0 0\nt 2 0 1\n",
+             "line 1: header declares 1 leaves, node table has 2"),
+            ("p stm 1 1\nt 0 -1 0 7\n", "line 2: malformed record 't 0 -1 0 7'"),
+            ("p stm 3 2 foo bar\n", "line 1: malformed header 'p stm 3 2 foo bar'"),
+            ("p stm 3 2\nt 0 -1 -1\nt 1 0 0\nt 2 3 1\n",
+             "line 4: parent 3 of node 2 out of range"),
+            ("p stm 2 1\nt 2 -1 0\n", "line 2: node 2 out of range [0, 2)"),
+            ("t 0 -1 0\np stm 1 1\n", "line 1: record before header"),
+        ],
+    )
+    def test_rejects_with_line_number(self, text, message):
+        with pytest.raises(ValueError) as err:
+            load_stm(text)
+        assert str(err.value) == message
