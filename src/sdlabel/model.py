@@ -414,15 +414,17 @@ def make_clean(m: SignedTreeModel) -> SignedTreeModel:
     )
 
 
-def deepest_pair(path_a, entries_a, path_b, entries_b):
+def deepest_pair(path_a, entries_a, path_b, entries_b, top=0):
     """The deepest signed pair joining two root paths, as (depth, pair, color).
 
     ``entries_x[i]`` lists the (other endpoint, color) pairs stored at
     ``path_x[i]``; a pair may be listed at one endpoint or at both.  A
     candidate joins a node on one path only to a node on the other path
-    only, and its depth is the sum of the two path positions.  Returns None
-    without a candidate.  In a non-crossing model the candidates form a
-    chain, so two of equal depth raise ValueError.
+    only, and its depth is the sum of the two nodes' depths.  Both paths
+    may leave out the same number ``top`` of root-side nodes, so their
+    first nodes sit at depth ``top``.  Returns None without a candidate.
+    In a non-crossing model the candidates form a chain, so two of equal
+    depth raise ValueError.
     """
     a_pos = {node: i for i, node in enumerate(path_a)}
     b_pos = {node: i for i, node in enumerate(path_b)}
@@ -442,8 +444,11 @@ def deepest_pair(path_a, entries_a, path_b, entries_b):
     ranked = sorted(cands.values())
     for (d1, p1, _), (d2, p2, _) in zip(ranked, ranked[1:]):
         if d1 == d2:
-            raise ValueError(f"signed pairs {p1} and {p2} tie at depth {d1}")
-    return ranked[-1] if ranked else None
+            raise ValueError(f"signed pairs {p1} and {p2} tie at depth {d1 + 2 * top}")
+    if not ranked:
+        return None
+    depth, pair, color = ranked[-1]
+    return depth + 2 * top, pair, color
 
 
 def resolve(m: SignedTreeModel, u: int, v: int) -> ResolvedEdge:
@@ -456,9 +461,15 @@ def resolve(m: SignedTreeModel, u: int, v: int) -> ResolvedEdge:
         raise ValueError("resolve needs distinct vertices")
     vl = m.vertex_leaf()
     pu, pv = m.root_path(vl[u]), m.root_path(vl[v])
+    # The two root paths share exactly the nodes above the first one where
+    # they differ, and no candidate pair touches those.
+    top = 0
+    while pu[top] == pv[top]:
+        top += 1
+    pu, pv = pu[top:], pv[top:]
     inc = m.incident()
     # incident() lists each pair at both endpoints, so u's path finds them all
-    best = deepest_pair(pu, [inc.get(x, ()) for x in pu], pv, [()] * len(pv))
+    best = deepest_pair(pu, [inc.get(x, ()) for x in pu], pv, [()] * len(pv), top)
     if best is None:
         raise ValueError(f"no signed pair above ({u}, {v}); model is not clean")
     return ResolvedEdge(*best[1:])
@@ -695,9 +706,9 @@ def load_stm(text: str) -> SignedTreeModel:
     """Parse the `p stm` format.
 
     Rejects, with the line number, a malformed or repeated header, a record
-    before the header, a record with the wrong field count, a node or
-    parent id out of range, a repeated node, and a node or leaf count other
-    than the header's.
+    before the header, a record with the wrong field count, a node, parent
+    or signed-pair endpoint out of range, a degenerate signed pair, a
+    repeated node, and a node or leaf count other than the header's.
     """
     n_nodes = n_leaves = None
     header_line = 0
@@ -740,6 +751,13 @@ def load_stm(text: str) -> SignedTreeModel:
             parent[node] = par
             leafv[node] = lv
         else:
+            a, b = fields
+            if not (0 <= a < n_nodes and 0 <= b < n_nodes):
+                raise ValueError(
+                    f"line {lineno}: signed pair ({a}, {b}) out of range [0, {n_nodes})"
+                )
+            if a == b:
+                raise ValueError(f"line {lineno}: signed pair ({a}, {b}) is degenerate")
             (green if parts[0] == "g" else blue).append(fields)
     if n_nodes is None:
         raise ValueError("missing `p stm` header")

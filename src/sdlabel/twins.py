@@ -157,27 +157,71 @@ def find_diverse_subgraph(g: Graph, d: int, limit: int = SUBSET_SEARCH_LIMIT):
     return None
 
 
+def _pairs_beat(diff, chosen, mask: int, best: int) -> bool:
+    """True iff every pair u, v of ``chosen`` has |diff[u][v] & mask| > best."""
+    for k, u in enumerate(chosen):
+        row = diff[u]
+        for v in chosen[k + 1 :]:
+            if (row[v] & mask).bit_count() <= best:
+                return False
+    return True
+
+
 def sd_exact(g: Graph, limit: int = SUBSET_SEARCH_LIMIT) -> int:
     """Exact symmetric difference: max over induced subgraphs of min pair sd.
 
     Equals the smallest d such that no (d+1)-diverse induced subgraph
-    exists.  Exhaustive over vertex subsets, largest first, pruning sizes
-    that cannot beat the best value found (min pair sd <= |S| - 2).
+    exists.  A depth-first branch-and-bound decides vertices 0..n-1 in
+    order, include before exclude, and keeps ``best``, the largest min pair
+    sd found so far.  With ``diff[u][v]`` = (N(u) ^ N(v)) minus u and v,
+    the pair sd inside S is |diff[u][v] & S|, which only grows with S.  A
+    branch holds the chosen vertices and ``avail``, the chosen plus the
+    undecided ones; every set it can reach lies between the two, so it is
+    dropped once some chosen pair has |diff & avail| <= best, or once
+    |avail| < best + 3 (min pair sd <= |S| - 2).  Each leaf reached thus
+    beats ``best`` and replaces it.  The search keeps an explicit stack,
+    so a raised ``limit`` never meets the interpreter's recursion limit;
+    the worst case stays exponential.
     """
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise ValueError("symmetric difference needs at least two vertices")
-    if g.n > limit:
-        raise ValueError(f"graph too large for exhaustive search ({g.n} > {limit})")
+    if n > limit:
+        raise ValueError(f"graph too large for exhaustive search ({n} > {limit})")
     masks = g.neighbor_masks()
-    verts = range(g.n)
+    diff = [
+        [(masks[u] ^ masks[v]) & ~((1 << u) | (1 << v)) for v in range(n)]
+        for u in range(n)
+    ]
     best = 0  # any 2-subset has min pair sd exactly 0
-    for size in range(g.n, 2, -1):
-        if size - 2 <= best:
+    # Each entry is a branch whose pairs are rechecked on entry, since best
+    # may have risen since it was pushed: (next vertex, chosen, avail).
+    stack = [(0, (), (1 << n) - 1)]
+    while stack:
+        i, chosen, avail = stack.pop()
+        if not _pairs_beat(diff, chosen, avail, best):
+            continue
+        # Descend through includes; each step leaves its exclude to the stack.
+        while avail.bit_count() >= best + 3:
+            if i == n:  # avail == chosen, and every pair beats best
+                best = min(
+                    (diff[u][v] & avail).bit_count()
+                    for k, u in enumerate(chosen)
+                    for v in chosen[k + 1 :]
+                )
+                break
+            stack.append((i + 1, chosen, avail & ~(1 << i)))
+            # Include i if every new pair (i, u) beats best; otherwise the
+            # exclude entry just pushed is the next branch popped.
+            row = diff[i]
+            for u in chosen:
+                if (row[u] & avail).bit_count() <= best:
+                    break
+            else:
+                chosen += (i,)
+                i += 1
+                continue
             break
-        for combo in combinations(verts, size):
-            # Raise best to this subset's min pair sd, if that is larger.
-            while not _has_twin_pair(masks, combo, best):
-                best += 1
     return best
 
 

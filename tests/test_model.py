@@ -430,6 +430,12 @@ class TestSerialization:
              "line 4: parent 3 of node 2 out of range"),
             ("p stm 2 1\nt 2 -1 0\n", "line 2: node 2 out of range [0, 2)"),
             ("t 0 -1 0\np stm 1 1\n", "line 1: record before header"),
+            ("p stm 3 2\nt 0 -1 -1\nt 1 0 0\nt 2 0 1\ng 1 9\n",
+             "line 5: signed pair (1, 9) out of range [0, 3)"),
+            ("p stm 3 2\nt 0 -1 -1\nt 1 0 0\nt 2 0 1\ng 1 1\n",
+             "line 5: signed pair (1, 1) is degenerate"),
+            ("p stm 3 2\nt 0 -1 -1\nt 1 0 0\nt 2 0 1\n# blue\nb 2 2\n",
+             "line 6: signed pair (2, 2) is degenerate"),
         ],
     )
     def test_rejects_with_line_number(self, text, message):

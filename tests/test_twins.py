@@ -1,5 +1,6 @@
 """Symmetric difference, twins, sd-degeneracy, and the degeneracy-1 embedding."""
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from sdlabel import (
     find_diverse_subgraph,
     gen_gnp,
     gen_rook,
+    gen_shift,
     is_diverse,
     load_witness,
     save_witness,
@@ -24,7 +26,9 @@ from sdlabel import (
     sdd_greedy,
 )
 
-from conftest import complete_graph, path_graph
+from sdlabel.twins import _has_twin_pair
+
+from conftest import complete_graph, cycle_graph, path_graph
 
 from test_graph import small_graphs
 
@@ -41,6 +45,27 @@ def brute_sd(g):
             )
             best = max(best, m)
     return best
+
+
+def reference_sd_exact(g):
+    """The former sd_exact: subsets largest first, raising the best min
+    pair sd on each subset and stopping at sizes that cannot beat it."""
+    masks = g.neighbor_masks()
+    best = 0
+    for size in range(g.n, 2, -1):
+        if size - 2 <= best:
+            break
+        for combo in combinations(range(g.n), size):
+            while not _has_twin_pair(masks, combo, best):
+                best += 1
+    return best
+
+
+def frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestSdPair:
@@ -154,6 +179,45 @@ class TestSdExact:
             for d in range(0, n):
                 has = find_diverse_subgraph(g, d) is not None
                 assert has == (sd >= d + 1), (seed, d)
+
+
+class TestSdExactBranchAndBound:
+    def test_matches_reference_on_gnp(self):
+        # 312 = 13 * 24 seeds meet each (n, density) pair exactly once
+        for seed in range(312):
+            n = 2 + seed % 13  # n = 2..14
+            p = 0.05 + 0.9 * (seed * 7 % 24) / 23  # 24 densities in [0.05, 0.95]
+            g = gen_gnp(n, p, seed)
+            assert sd_exact(g) == reference_sd_exact(g), (n, p, seed)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_reference_on_families(self, n):
+        for g in (Graph(n), complete_graph(n), path_graph(n), cycle_graph(n)):
+            assert sd_exact(g) == reference_sd_exact(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [gen_rook(3, 4), gen_rook(4, 4), gen_shift(4), gen_shift(5), gen_shift(6)],
+        ids=["rook3x4", "rook4x4", "shift4", "shift5", "shift6"],
+    )
+    def test_matches_reference_on_named_graphs(self, g):
+        assert sd_exact(g) == reference_sd_exact(g)
+
+    def test_matches_reference_on_gnp14_chains(self):
+        # G(14, p) at the densities of the oracle-reduce benchmark's gnp ops
+        for p in (0.2, 0.3, 0.4, 0.5):
+            for seed in range(1, 7):
+                g = gen_gnp(14, p, seed)
+                assert sd_exact(g) == reference_sd_exact(g), (p, seed)
+
+    def test_raised_limit_needs_no_recursion(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 40)
+        try:
+            got = sd_exact(Graph(200), limit=200)
+        finally:
+            sys.setrecursionlimit(old)
+        assert got == 0
 
 
 class TestSddExact:
