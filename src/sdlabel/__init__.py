@@ -42,7 +42,6 @@ from .model import (
     load_stm,
 )
 from .balance import (
-    CompleteTree,
     interval_cover,
     subtree_interval,
     shallowise,

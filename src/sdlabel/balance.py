@@ -6,7 +6,8 @@ Balancing (shallowising) re-expresses a clean signed tree model on the
 complete binary tree of depth ceil(log2 n) + 1: every signed pair is
 replaced by all pairs between the canonical covers of its endpoints'
 leaf intervals, and a pair that receives both colors keeps the color of
-its deepest originating pair.
+its deepest originating pair.  That tree is the cached pair-free model
+:func:`complete_tree`, and every balanced model on n leaves shares it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .graph import min_degree_peel
 from .model import GREEN, BLUE, SignedTreeModel, is_clean
 
 __all__ = [
-    "CompleteTree",
     "Orientation",
     "complete_tree",
     "interval_cover",
@@ -30,43 +30,22 @@ __all__ = [
 ]
 
 
-class CompleteTree:
-    """Full complete binary tree with n leaves numbered 1..n left to right.
-
-    All levels are filled except possibly the last, whose leaves are
-    left-aligned; the depth (nodes on a root-leaf path) is
-    ceil(log2 n) + 1, with a single-leaf tree having depth 1.  Node ids
-    are heap ids: internal node i < n - 1 has children 2i + 1 and 2i + 2,
-    and the leaves are n - 1 .. 2n - 2.  Parents, the leaf order, leaf
-    intervals and the depth are read off the Euler tour of a
-    SignedTreeModel on these children, each leaf carrying its own id.
-    """
-
-    __slots__ = ("n", "children", "parent", "leaf_of_pos", "interval", "depth")
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("complete tree needs at least one leaf")
-        self.n = n
-        self.children = tuple(
-            (2 * i + 1, 2 * i + 2) if i < n - 1 else None for i in range(2 * n - 1)
-        )
-        tour = SignedTreeModel(
-            self.children, [i if i >= n - 1 else -1 for i in range(2 * n - 1)]
-        )
-        self.parent = tour.parent
-        self.leaf_of_pos = (0,) + tour.leaf_order()  # 1-based
-        self.interval = tour.node_intervals()
-        self.depth = max(tour.depth) + 1
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.children)
-
-
 @lru_cache(maxsize=None)
-def complete_tree(n: int) -> CompleteTree:
-    return CompleteTree(n)
+def complete_tree(n: int) -> SignedTreeModel:
+    """The pair-free complete binary tree with n leaves, cached per n.
+
+    Every level but the last is full and the last is left-aligned, so a
+    root-leaf path has at most ceil(log2 n) + 1 nodes.  Node ids are heap
+    ids: internal node i < n - 1 has children 2i + 1 and 2i + 2, and the
+    leaves n - 1 .. 2n - 2 each carry their own id as vertex.  Balanced
+    models share this tree.
+    """
+    if n < 1:
+        raise ValueError("complete tree needs at least one leaf")
+    return SignedTreeModel(
+        [(2 * i + 1, 2 * i + 2) if i < n - 1 else None for i in range(2 * n - 1)],
+        [i if i >= n - 1 else -1 for i in range(2 * n - 1)],
+    )
 
 
 def interval_cover(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -211,9 +190,14 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
     green = {ab for ab, (_, c) in best.items() if c == GREEN}
     blue = {ab for ab, (_, c) in best.items() if c == BLUE}
 
+    # Only a non-transversal origin can emit a pair joining a node to itself.
+    for a, b in best:
+        if a == b:
+            raise ValueError(f"signed pair ({a}, {b}) is degenerate")
+
     # Leaf k of the complete tree inherits the vertex of the model's k-th
     # leaf in left-to-right order.
     leaf_vertex = [-1] * tree.n_nodes
-    for k, leaf in enumerate(m.leaf_order(), start=1):
-        leaf_vertex[tree.leaf_of_pos[k]] = m.leaf_vertex[leaf]
-    return SignedTreeModel(tree.children, leaf_vertex, green, blue)
+    for leaf, src in zip(tree.leaf_order(), m.leaf_order()):
+        leaf_vertex[leaf] = m.leaf_vertex[src]
+    return tree._with(tuple(leaf_vertex), green, blue)

@@ -276,6 +276,9 @@ def load_edge_list(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: edge must satisfy u < v")
             if (u, v) in seen:
                 raise ValueError(f"line {lineno}: duplicate edge ({u}, {v})")
+            for x in (u, v):
+                if not 0 <= x < g.n:
+                    raise ValueError(f"line {lineno}: vertex {x} out of range [0, {g.n})")
             seen.add((u, v))
             g.add_edge(u, v)
         else:

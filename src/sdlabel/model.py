@@ -48,33 +48,27 @@ def _norm(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+# Fields fixed by the tree alone; SignedTreeModel._with shares them.
+_TREE_FIELDS = (
+    "children", "parent", "root", "n_nodes", "n_leaves",
+    "tin", "tout", "depth", "_leaf_order", "_intervals",
+)
+
+
 class SignedTreeModel:
     """Full binary tree plus green/blue transversal pair sets.
 
     ``children[i]`` is a (left, right) tuple for internal nodes and None
     for leaves; ``leaf_vertex[i]`` is the graph vertex of leaf i and -1 for
-    internal nodes.  The constructor enforces tree structure; semantic
-    conditions (leaf bijection, transversality, non-crossing, disjoint
-    colors) are reported by :func:`validate`.
+    internal nodes.  The constructor checks outside input and derives the
+    tree structure; semantic conditions (leaf bijection, transversality,
+    non-crossing, disjoint colors) are reported by :func:`validate`.  Models
+    derived by :func:`make_clean` and :func:`balance.shallowise` share the
+    tree of the model they come from.
     """
 
-    __slots__ = (
-        "children",
-        "leaf_vertex",
-        "green",
-        "blue",
-        "parent",
-        "root",
-        "n_nodes",
-        "n_leaves",
-        "tin",
-        "tout",
-        "depth",
-        "_leaf_order",
-        "_paths",
-        "_incident",
-        "_intervals",
-        "_vertex_leaf",
+    __slots__ = _TREE_FIELDS + (
+        "leaf_vertex", "green", "blue", "_paths", "_incident", "_vertex_leaf"
     )
 
     def __init__(self, children, leaf_vertex, green=(), blue=()):
@@ -158,6 +152,23 @@ class SignedTreeModel:
         self.green = frozenset(gset)
         self.blue = frozenset(bset)
 
+    def _with(self, leaf_vertex, green, blue) -> SignedTreeModel:
+        """This tree with other leaf vertices and signed pairs, unchecked:
+        ``leaf_vertex`` is a tuple with -1 exactly on internal nodes, and the
+        pairs are normalised, in range and non-degenerate.  Shares the tree
+        fields and node intervals, and the vertex -> leaf map while
+        ``leaf_vertex`` is this model's own tuple."""
+        m = object.__new__(SignedTreeModel)
+        for name in _TREE_FIELDS:
+            setattr(m, name, getattr(self, name))
+        m.leaf_vertex = leaf_vertex
+        m.green = frozenset(green)
+        m.blue = frozenset(blue)
+        m._paths = None
+        m._incident = None
+        m._vertex_leaf = self._vertex_leaf if leaf_vertex is self.leaf_vertex else None
+        return m
+
     # -- ancestor tests -------------------------------------------------
 
     def is_ancestor(self, a: int, b: int) -> bool:
@@ -197,6 +208,8 @@ class SignedTreeModel:
         return self._vertex_leaf
 
     def root_path(self, node: int) -> tuple[int, ...]:
+        if not 0 <= node < self.n_nodes:
+            raise ValueError(f"node {node} out of range [0, {self.n_nodes})")
         if self._paths is None:
             self._paths = {}
         path = self._paths.get(node)
@@ -409,9 +422,7 @@ def make_clean(m: SignedTreeModel) -> SignedTreeModel:
     extra = _unsigned_siblings(m)
     if not extra:
         return m
-    return SignedTreeModel(
-        m.children, m.leaf_vertex, set(m.green) | set(extra), m.blue
-    )
+    return m._with(m.leaf_vertex, m.green.union(extra), m.blue)
 
 
 def deepest_pair(path_a, entries_a, path_b, entries_b, top=0):
@@ -457,6 +468,9 @@ def resolve(m: SignedTreeModel, u: int, v: int) -> ResolvedEdge:
     Defined on clean models; raises if no signed pair covers the leaf pair
     or if two do at the same depth (crossing pairs).
     """
+    for x in (u, v):
+        if not 0 <= x < m.n_leaves:
+            raise ValueError(f"vertex {x} out of range [0, {m.n_leaves})")
     if u == v:
         raise ValueError("resolve needs distinct vertices")
     vl = m.vertex_leaf()

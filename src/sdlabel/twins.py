@@ -117,6 +117,8 @@ def is_diverse(g: Graph, vertices, d: int) -> bool:
 
     Polynomial time; no size limit.
     """
+    if d < 0:
+        raise ValueError("d must be non-negative")
     s = sorted(set(vertices))
     for u in s:
         g._check(u)

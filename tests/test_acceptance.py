@@ -185,7 +185,7 @@ def test_07_interval_covers():
         t = complete_tree(n)
         diff = np.zeros((n + 2, n + 2), dtype=np.int32)
         for node in range(t.n_nodes):
-            lo, hi = t.interval[node]
+            lo, hi = t.node_intervals()[node]
             wgt = 1 if t.children[node] is None else -1
             diff[1, hi] += wgt
             diff[lo + 1, hi] -= wgt

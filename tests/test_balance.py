@@ -39,7 +39,7 @@ def min_cover_oracle(n, i, j):
     t = complete_tree(n)
     starts = {}
     for node in range(t.n_nodes):
-        lo, hi = t.interval[node]
+        lo, hi = t.node_intervals()[node]
         if i <= lo and hi <= j:
             starts.setdefault(lo, []).append(hi)
 
@@ -70,11 +70,11 @@ class TestCompleteTree:
         t = complete_tree(n)
         assert t.n_nodes == 2 * n - 1
         expected = 1 if n == 1 else math.ceil(math.log2(n)) + 1
-        assert t.depth == expected
+        assert max(t.depth) + 1 == expected
         # left-aligned: leaf depths never increase left to right
         depths = []
         for k in range(1, n + 1):
-            node, d = t.leaf_of_pos[k], 1
+            node, d = t.leaf_order()[k - 1], 1
             while t.parent[node] != -1:
                 node, d = t.parent[node], d + 1
             depths.append(d)
@@ -143,7 +143,13 @@ class TestCompleteTreeReference:
     def test_matches_reference(self):
         for n in self.SIZES:
             t = complete_tree(n)
-            got = (t.children, t.parent, t.leaf_of_pos, t.interval, t.depth)
+            got = (
+                t.children,
+                t.parent,
+                (0,) + t.leaf_order(),
+                t.node_intervals(),
+                max(t.depth) + 1,
+            )
             assert got == reference_complete_tree(n), n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 100, 1025])
@@ -156,7 +162,7 @@ class TestCompleteTreeReference:
             else:
                 assert t.children[i] is None
             assert t.parent[i] == ((i - 1) // 2 if i else -1)
-        assert sorted(t.leaf_of_pos[1:]) == list(range(n - 1, 2 * n - 1))
+        assert sorted(t.leaf_order()) == list(range(n - 1, 2 * n - 1))
 
 
 def reference_interval_cover(n, i, j):
@@ -216,12 +222,12 @@ class TestIntervalCover:
     def test_single_leaf(self):
         c = interval_cover(8, 1, 1)
         t = complete_tree(8)
-        assert c == (t.leaf_of_pos[1],)
+        assert c == (t.leaf_order()[0],)
 
     def test_middle_range(self):
         t = complete_tree(8)
         c = interval_cover(8, 2, 7)
-        assert [t.interval[x] for x in c] == [(2, 2), (3, 4), (5, 6), (7, 7)]
+        assert [t.node_intervals()[x] for x in c] == [(2, 2), (3, 4), (5, 6), (7, 7)]
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
@@ -241,14 +247,16 @@ class TestIntervalCover:
                 leaves = [
                     p
                     for x in c
-                    for p in range(t.interval[x][0], t.interval[x][1] + 1)
+                    for p in range(
+                        t.node_intervals()[x][0], t.node_intervals()[x][1] + 1
+                    )
                 ]
                 assert leaves == list(range(i, j + 1))  # ordered partition
                 for a in c:
                     for b in c:
                         if a != b:
-                            la, ha = t.interval[a]
-                            lb, hb = t.interval[b]
+                            la, ha = t.node_intervals()[a]
+                            lb, hb = t.node_intervals()[b]
                             assert not (la <= lb and hb <= ha)  # antichain
 
     @pytest.mark.parametrize("n", [2, 7, 16, 63, 100, 256])
@@ -337,8 +345,8 @@ class TestShallowise:
         children = list(t.children)
         leafv = [-1] * t.n_nodes
         for k in range(1, 5):
-            leafv[t.leaf_of_pos[k]] = k - 1
-        pos = {k: t.leaf_of_pos[k] for k in range(1, 5)}
+            leafv[t.leaf_order()[k - 1]] = k - 1
+        pos = {k: t.leaf_order()[k - 1] for k in range(1, 5)}
         green = [(pos[1], pos[2]), (pos[3], pos[4])]
         blue = [(pos[1], pos[3])]
         m = make_clean(SignedTreeModel(children, leafv, green, blue))
@@ -370,7 +378,7 @@ class TestShallowise:
         b = shallowise(m, 2)
         t = complete_tree(4)
         left_internal = t.children[0][0]
-        leaf4 = t.leaf_of_pos[4]
+        leaf4 = t.leaf_order()[3]
         conflicted = tuple(sorted((left_internal, leaf4)))
         assert conflicted in b.blue and conflicted not in b.green
         assert realize(b) == realize(m)
@@ -386,6 +394,16 @@ class TestShallowise:
         assert is_clean(m)
         with pytest.raises(AssertionError, match="incomparable origins"):
             shallowise(m, 2)
+
+    def test_non_transversal_pair_rejected(self):
+        # the parent-child pair (5, 4) is not transversal: leaf 1 is in the
+        # cover of both endpoints, so it would be paired with itself
+        children = [None] * 4 + [(1, 2), (4, 3), (0, 5)]
+        leafv = [0, 1, 2, 3, -1, -1, -1]
+        m = SignedTreeModel(children, leafv, [(1, 2), (3, 4), (0, 5)], [(4, 5)])
+        assert is_clean(m)
+        with pytest.raises(ValueError, match=r"^signed pair \(4, 4\) is degenerate$"):
+            shallowise(m, 1)
 
     def test_requires_clean(self):
         children = [None, None, (0, 1)]
@@ -414,6 +432,72 @@ class TestShallowise:
         d, w = sdd_exact(g)
         b = shallowise(stm_from_witness(g, w), d + 1)
         assert width(b) <= width_bound(len(b.green | b.blue))
+
+
+def fill_caches(m):
+    m.vertex_leaf()
+    m.incident()
+    m.node_intervals()
+    m.root_path(m.leaf_order()[0])
+
+
+def assert_same_as_fresh(x):
+    """x equals the model the constructor derives from x's own input."""
+    y = SignedTreeModel(x.children, x.leaf_vertex, x.green, x.blue)
+    for field in ("parent", "root", "tin", "tout", "depth", "green", "blue"):
+        assert getattr(x, field) == getattr(y, field), field
+    assert x.leaf_order() == y.leaf_order()
+    assert x.node_intervals() == y.node_intervals()
+    assert x.vertex_leaf() == y.vertex_leaf()
+    assert x.incident() == y.incident()
+    for leaf in y.leaf_order():
+        assert x.root_path(leaf) == y.root_path(leaf)
+
+
+class TestSharedTree:
+    """make_clean and shallowise share the tree they keep, and no cache
+    filled before the derivation leaks into the derived model."""
+
+    def test_derived_models_equal_fresh(self, corpus):
+        for name, g, w in corpus:
+            m = stm_from_witness(g, w)
+            # drop the sibling pairs so that make_clean has to add them back
+            siblings = {tuple(sorted(ch)) for ch in m.children if ch is not None}
+            src = SignedTreeModel(
+                m.children, m.leaf_vertex, m.green - siblings, m.blue - siblings
+            )
+            tree = complete_tree(g.n)
+            fill_caches(src)
+            fill_caches(tree)
+            clean = make_clean(src)
+            assert clean.tin is src.tin, name
+            assert_same_as_fresh(clean)
+            fill_caches(clean)
+            b = shallowise(clean, w.d + 1)
+            assert b.tin is tree.tin, name
+            assert_same_as_fresh(b)
+            fill_caches(b)
+            bc = make_clean(b)
+            assert bc.tin is tree.tin, name
+            assert_same_as_fresh(bc)
+            # the cached tree stays pair-free, with each leaf carrying its id
+            assert not tree.green and not tree.blue and tree.incident() == {}
+            assert tree.vertex_leaf() == {v: v for v in range(g.n - 1, 2 * g.n - 1)}
+
+    def test_figure_model(self, figure_model):
+        m, _ = figure_model
+        fill_caches(m)
+        clean = make_clean(m)
+        assert clean is not m and clean.children is m.children
+        assert_same_as_fresh(clean)
+        assert_same_as_fresh(make_clean(shallowise(clean, 2)))
+
+    def test_complete_tree_is_a_cached_model(self):
+        t = complete_tree(5)
+        assert isinstance(t, SignedTreeModel) and t is complete_tree(5)
+        assert t.leaf_vertex == (-1, -1, -1, -1, 4, 5, 6, 7, 8)
+        with pytest.raises(ValueError, match="at least one leaf"):
+            complete_tree(0)
 
 
 class TestBalancedFingerprints:

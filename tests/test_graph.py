@@ -214,6 +214,19 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match=frag):
             load_edge_list(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p el 2 1\ne 0 5\n", "line 2: vertex 5 out of range [0, 2)"),
+            ("p el 2 1\n# c\ne -1 1\n", "line 3: vertex -1 out of range [0, 2)"),
+            ("p el 2 1\ne 1 1\n", "line 2: self-loop at vertex 1"),
+        ],
+    )
+    def test_rejects_with_line_number(self, text, message):
+        with pytest.raises(ValueError) as err:
+            load_edge_list(text)
+        assert str(err.value) == message
+
     @given(small_graphs)
     def test_round_trip(self, g):
         text = save_edge_list(g)

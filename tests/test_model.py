@@ -214,6 +214,18 @@ class TestRealizeResolve:
         assert r.color == "green"
         assert set(r.pair) == {names["e"], names["i"]}
 
+    def test_out_of_range_arguments(self, figure_model):
+        m, _ = figure_model
+        with pytest.raises(ValueError, match=r"^node 999 out of range \[0, 27\)$"):
+            m.root_path(999)
+        with pytest.raises(ValueError, match=r"^node -1 out of range \[0, 27\)$"):
+            m.root_path(-1)
+        mc = make_clean(m)
+        with pytest.raises(ValueError, match=r"^vertex 99 out of range \[0, 14\)$"):
+            resolve(mc, 0, 99)
+        with pytest.raises(ValueError, match=r"^vertex -1 out of range \[0, 14\)$"):
+            resolve(mc, -1, 0)
+
     def test_resolve_needs_clean(self):
         m = SignedTreeModel([None, None, (0, 1)], [0, 1, -1])
         with pytest.raises(ValueError, match="not clean"):

@@ -115,6 +115,10 @@ class TestDiverse:
     def test_complete_false(self):
         assert not is_diverse(complete_graph(5), range(5), 0)
 
+    def test_rejects_negative_d(self):
+        with pytest.raises(ValueError, match="^d must be non-negative$"):
+            is_diverse(gen_rook(3, 3), range(9), -1)
+
     def test_find_in_complete_absent(self):
         assert find_diverse_subgraph(complete_graph(5), 0) is None
 
