@@ -154,6 +154,7 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
 
     The result has depth ceil(log2 n) + 1, realizes the same graph, and
     carries at most (2n-1) * d_sparse * (2*log2 n)**2 signed pairs.
+    A signed pair whose endpoints are comparable raises ValueError.
     """
     if d_sparse < 0:
         raise ValueError("sparsity bound must be non-negative")
@@ -170,6 +171,13 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
     cover = [interval_cover(n, lo, hi) for lo, hi in m.node_intervals()]
     depth = m.depth
     signed = m.signed_pairs()
+    # is_clean does not check transversality, and the covers of a pair with
+    # comparable endpoints overlap, so its products would not be transversal.
+    # Incomparable nodes have disjoint Euler-tour ranges [tin, tout].
+    tin, tout = m.tin, m.tout
+    nested = [(x, y) for x, y in signed if not (tout[x] < tin[y] or tout[y] < tin[x])]
+    if nested:
+        raise ValueError(f"signed pair {min(nested)} is not transversal")
 
     # Origins in increasing depth sum, so a strict ancestor pair (smaller
     # sum) comes first and the deepest origin of an emitted pair overwrites
@@ -189,11 +197,6 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
                 best[ab] = (origin, signed[origin])
     green = {ab for ab, (_, c) in best.items() if c == GREEN}
     blue = {ab for ab, (_, c) in best.items() if c == BLUE}
-
-    # Only a non-transversal origin can emit a pair joining a node to itself.
-    for a, b in best:
-        if a == b:
-            raise ValueError(f"signed pair ({a}, {b}) is degenerate")
 
     # Leaf k of the complete tree inherits the vertex of the model's k-th
     # leaf in left-to-right order.

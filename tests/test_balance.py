@@ -396,14 +396,16 @@ class TestShallowise:
             shallowise(m, 2)
 
     def test_non_transversal_pair_rejected(self):
-        # the parent-child pair (5, 4) is not transversal: leaf 1 is in the
-        # cover of both endpoints, so it would be paired with itself
+        # parent-child pairs are not transversal: (5, 4) would pair leaf 1
+        # with itself, and (3, 5) would emit the non-transversal (2, 6)
         children = [None] * 4 + [(1, 2), (4, 3), (0, 5)]
         leafv = [0, 1, 2, 3, -1, -1, -1]
-        m = SignedTreeModel(children, leafv, [(1, 2), (3, 4), (0, 5)], [(4, 5)])
-        assert is_clean(m)
-        with pytest.raises(ValueError, match=r"^signed pair \(4, 4\) is degenerate$"):
-            shallowise(m, 1)
+        for blue in ((4, 5), (3, 5)):
+            m = SignedTreeModel(children, leafv, [(1, 2), (3, 4), (0, 5)], [blue])
+            assert is_clean(m)
+            with pytest.raises(ValueError) as exc:
+                shallowise(m, 1)
+            assert str(exc.value) == f"signed pair {blue} is not transversal"
 
     def test_requires_clean(self):
         children = [None, None, (0, 1)]

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdlabel import Graph, SddWitness, gen_gnp, gen_rook, sdd_exact, embed_sdd1
+from sdlabel import labeling
 from sdlabel.bench import bench_instance
 from sdlabel.labeling import (
     AdjacencyLabel,
+    _decode_parsed,
     _parse,
     decode,
     decode_matrix,
@@ -59,6 +61,36 @@ def reference_decode(a, b):
         return reference_decode_parsed(_parse(a), _parse(b))
     except ValueError:
         return ValueError
+
+
+def reference_decode_matrix(labels):
+    """decode_matrix's former loop, one decode per vertex pair, kept to
+    compare against."""
+    parsed = {v: _parse(l) for v, l in labels.items()}
+    n = len(parsed)
+    if sorted(parsed) != list(range(n)):
+        raise ValueError("labels must cover vertices 0..n-1")
+    g = Graph(n)
+    verts = sorted(parsed)
+    for i, u in enumerate(verts):
+        for v in verts[i + 1 :]:
+            if _decode_parsed(parsed[u], parsed[v]):
+                g.add_edge(u, v)
+    return g
+
+
+def matrix_outcome(decoder, labels):
+    """The decoded edge list, or the message of the ValueError raised."""
+    try:
+        return decoder(labels).edges()
+    except ValueError as exc:
+        return str(exc)
+
+
+def flip_bit(label, k):
+    data = bytearray(label.data)
+    data[k // 8] ^= 1 << (7 - k % 8)
+    return AdjacencyLabel(bytes(data), label.nbits)
 
 
 def witness_labels(g):
@@ -204,9 +236,7 @@ class TestDecodeReference:
             g, labels = rng.choice(sets)
             u, v = rng.sample(sorted(labels), 2)
             k = rng.randrange(labels[u].nbits)
-            data = bytearray(labels[u].data)
-            data[k // 8] ^= 1 << (7 - k % 8)
-            flipped = AdjacencyLabel(bytes(data), labels[u].nbits)
+            flipped = flip_bit(labels[u], k)
             try:
                 got = decode(flipped, labels[v])
             except ValueError as exc:
@@ -216,6 +246,82 @@ class TestDecodeReference:
             wrong += got is not ValueError and got != g.has_edge(u, v)
         # the flips reach the decider's tie check and also decode silently wrong
         assert ties > 0 and wrong > 0
+
+
+class TestDecodeMatrix:
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """Counts the label sets that decode_matrix hands to its pairwise loop."""
+        calls = []
+        pairwise = labeling._decode_pairwise
+
+        def counted(parsed):
+            calls.append(len(parsed))
+            return pairwise(parsed)
+
+        monkeypatch.setattr(labeling, "_decode_pairwise", counted)
+        return calls
+
+    def test_corpus_equals_reference(self, corpus, fallbacks):
+        for name, g, w in corpus:
+            labels = label_graph(g, w)
+            assert decode_matrix(labels) == reference_decode_matrix(labels) == g, name
+        assert fallbacks == []
+
+    @pytest.mark.parametrize(
+        "args", [("embed", 64, 1, 1), ("rook", 36, 1, 0), ("gnp", 40, 6, 1)]
+    )
+    def test_bench_instances_equal_reference(self, args, fallbacks):
+        g, w = bench_instance(*args)
+        labels = label_graph(g, w)
+        assert decode_matrix(labels) == reference_decode_matrix(labels) == g
+        assert fallbacks == []
+
+    def test_comparable_pair_decides_nothing(self, fallbacks):
+        # (3, 5) joins leaf 3 to its parent; is_clean accepts the model
+        children = [None] * 4 + [(1, 2), (4, 3), (0, 5)]
+        m = SignedTreeModel(children, [0, 1, 2, 3, -1, -1, -1], [(1, 2), (3, 4), (0, 5)], [(3, 5)])
+        labels = encode(m)
+        assert decode_matrix(labels) == reference_decode_matrix(labels) == realize(m)
+        assert fallbacks == []
+
+    def test_crossing_pairs_fall_back(self, fallbacks):
+        # the clean model's pairs (4, 7) and (1, 10) cross, so two pairs of
+        # one depth sum decide a common leaf pair
+        children = [None] * 7 + [(1, 2), (0, 7), (5, 6), (3, 4), (9, 10), (8, 11)]
+        green = [(0, 7), (1, 2), (3, 4), (4, 7), (5, 6), (8, 11), (9, 10)]
+        blue = [(0, 1), (0, 4), (1, 10), (4, 9)]
+        labels = encode(SignedTreeModel(children, list(range(7)) + [-1] * 6, green, blue))
+        message = "signed pairs (1, 10) and (4, 7) tie at depth 5"
+        assert matrix_outcome(reference_decode_matrix, labels) == message
+        assert matrix_outcome(decode_matrix, labels) == message
+        assert fallbacks == [7]
+
+    def test_single_bit_flips_match_reference(self, fallbacks):
+        rng = random.Random(12)
+        sets = []
+        for args in (("embed", 64, 1, 1), ("rook", 36, 1, 0), ("gnp", 40, 6, 1)):
+            g, w = bench_instance(*args)
+            sets.append((g, label_graph(g, w)))
+        fast = fell_back = silent_wrong = 0
+        for _ in range(150):
+            g, labels = rng.choice(sets)
+            labels = dict(labels)
+            v = rng.randrange(g.n)
+            k = rng.randrange(labels[v].nbits)
+            labels[v] = flip_bit(labels[v], k)
+            before = len(fallbacks)
+            got = matrix_outcome(decode_matrix, labels)
+            assert got == matrix_outcome(reference_decode_matrix, labels), (g.n, v, k)
+            if len(fallbacks) > before:
+                fell_back += 1
+            elif not isinstance(got, str):
+                fast += 1
+                silent_wrong += got != g.edges()
+        # flips inside a block shared by several labels fall back; a flip
+        # that keeps the blocks consistent takes the fold, and can decode
+        # silently wrong there as on the loop
+        assert fast > 0 and fell_back > 0 and silent_wrong > 0, (fast, fell_back)
 
 
 class TestLabelGraph:
