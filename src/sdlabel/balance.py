@@ -149,8 +149,8 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
     Each signed pair (x, y) emits every pair (a, b) with a in the cover of
     x's leaf interval and b in the cover of y's; same-color duplicates are
     merged, and a pair emitted in both colors keeps the color of its
-    deepest originating pair (all origins of one emitted pair are totally
-    ordered in the pair tree-order; anything else is a hard error).
+    deepest originating pair (origins of one emitted pair are totally
+    ordered in the pair tree-order unless two cross: ValueError).
 
     The result has depth ceil(log2 n) + 1, realizes the same graph, and
     carries at most (2n-1) * d_sparse * (2*log2 n)**2 signed pairs.
@@ -190,7 +190,7 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
                 ab = (a, b) if a < b else (b, a)
                 cur = best.get(ab)
                 if cur is not None and not m.pair_leq(cur[0], origin):
-                    raise AssertionError(
+                    raise ValueError(
                         f"incomparable origins {cur[0]} and {origin} "
                         f"for emitted pair {ab}"
                     )

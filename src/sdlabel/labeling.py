@@ -18,8 +18,9 @@ adjacency alone: the stored entries whose endpoints fall on opposite path
 suffixes below the meet of the two paths form a chain, and the deepest
 one's color decides.  The decoder picks it with ``model.deepest_pair``, the
 same routine ``model.resolve`` uses on a whole model.  ``decode_matrix``
-decides every pair of a label set at once, by one fold over the union of
-its blocks.
+rebuilds the model a label set spells and realizes it with
+``model.realize``, falling back to the pairwise loop where the labels
+spell no such model.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from dataclasses import dataclass
 
 from .balance import orient_low_outdegree, shallowise, width_bound
 from .graph import Graph
-from .model import BLUE, SignedTreeModel, deepest_pair, is_clean, make_clean, stm_from_witness
+from .model import (
+    BLUE, SignedTreeModel, deepest_pair, is_clean, make_clean, realize, stm_from_witness
+)
 from .twins import SddWitness
 
 __all__ = [
@@ -190,30 +193,27 @@ def decode(a: AdjacencyLabel, b: AdjacencyLabel) -> bool:
 def decode_matrix(labels: dict[int, AdjacencyLabel]) -> Graph:
     """Full graph reconstruction; parses each label once.
 
-    Labels from :func:`encode` are consistent: a node has the same parent,
-    depth and block in every label whose path passes through it.  On such
-    labels one fold over the union of the blocks decides every vertex pair
-    at once.  Where that assumption fails, or where some pair would not
-    decode, the vertex pairs are decoded one by one as :func:`decode` does,
-    so both paths return the same graph and raise the same ``ValueError``.
-    Neither path is an integrity check: a flipped bit that leaves the
-    blocks consistent decodes silently wrong on both.
+    Labels from :func:`encode` spell the model they were encoded from: a
+    node has the same parent, depth and block in every label through it.
+    That model is rebuilt and :func:`model.realize` decides every vertex
+    pair at once.  Where the labels spell no clean model with one leaf per
+    vertex, or ``realize`` finds a tie, the vertex pairs are decoded one by
+    one as :func:`decode` does, so both paths return the same graph and
+    raise the same ``ValueError``.  Neither path is an integrity check: a
+    flipped bit that leaves the blocks consistent decodes silently wrong
+    on both.
     """
     parsed = {v: _parse(l) for v, l in labels.items()}
     n = len(parsed)
     if sorted(parsed) != list(range(n)):
         raise ValueError("labels must cover vertices 0..n-1")
-    rows = _fold_rows([parsed[v] for v in range(n)])
-    if rows is None:
-        return _decode_pairwise(parsed)
-    edges = []
-    for u, row in enumerate(rows):
-        row >>= u + 1
-        while row:
-            k = row.bit_length() - 1
-            edges.append((u, u + 1 + k))
-            row ^= 1 << k
-    return Graph(n, edges)
+    m = _spelled_model([parsed[v] for v in range(n)])
+    if m is not None:
+        try:
+            return realize(m)
+        except ValueError:  # two pairs of one depth sum share a leaf pair
+            pass
+    return _decode_pairwise(parsed)
 
 
 def _decode_pairwise(parsed: dict[int, _Parsed]) -> Graph:
@@ -225,59 +225,43 @@ def _decode_pairwise(parsed: dict[int, _Parsed]) -> Graph:
     return g
 
 
-def _fold_rows(parsed: list[_Parsed]) -> list[int] | None:
-    """Adjacency rows (bit v of row u set iff u ~ v) of consistent labels,
-    or None where the pairwise loop must decide.
-
-    With every node's parent, depth and block the same in all labels, a
-    decode of (u, v) weighs exactly the stored pairs (x, y) with x and y
-    incomparable, u under x and v under y; pairs with comparable endpoints
-    decide nothing.  Painting each pair's cells in increasing depth sum
-    then leaves the deepest pair's color in every cell.  None means the
-    preambles or a node disagree between labels, an entry names a node on
-    no path, two pairs of one depth sum share a cell, or a cell is left
-    uncovered.  A pair stored twice shares its cells with itself; two
-    vertices ending at one node, or a path ending above another, leave
-    their cell uncovered.
-    """
+def _spelled_model(parsed: list[_Parsed]) -> SignedTreeModel | None:
+    """The model that the labels of vertices 0..n-1 spell, or None where
+    the pairwise loop must decide: the preambles or a node disagree between
+    labels, the node ids are not 0..k-1, the constructor rejects the tree or
+    an entry, two vertices end at one leaf, a pair is stored in both colors,
+    or the model is not clean (in a clean model the sibling pair at the
+    meet of two leaves covers them, so every vertex pair decodes)."""
     if len({(p.n, p.id_bits, p.width) for p in parsed}) > 1:
         return None
     nodes: dict[int, tuple] = {}  # node -> (parent, depth, block)
-    under: dict[int, list[int]] = {}  # node -> the vertices whose path passes it
-    for v, p in enumerate(parsed):
+    for p in parsed:
         parent = -1
         for depth, (x, block) in enumerate(zip(p.path, p.entries)):
             info = (parent, depth, block)
             if nodes.setdefault(x, info) != info:
                 return None
-            under.setdefault(x, []).append(v)
             parent = x
-    mask = {x: sum(1 << v for v in vs) for x, vs in under.items()}
-    by_depth: dict[int, list[tuple[int, int, int]]] = {}
-    for x, (_, depth, block) in nodes.items():
-        for y, color in block:
-            if y not in nodes:
-                return None
-            if not mask[x] & mask[y]:
-                by_depth.setdefault(depth + nodes[y][1], []).append((x, y, color))
-    n = len(parsed)
-    rows = [0] * n
-    covered = [0] * n
-    for depth in sorted(by_depth):
-        painted = [0] * n  # cells of each row painted at this depth sum
-        for x, y, color in by_depth[depth]:
-            for a, b in ((x, y), (y, x)):
-                cells = mask[b]
-                for u in under[a]:
-                    if painted[u] & cells:
-                        return None
-                    painted[u] |= cells
-                    rows[u] = rows[u] | cells if color else rows[u] & ~cells
-        covered = [c | p for c, p in zip(covered, painted)]
-    full = (1 << n) - 1
-    if any(c != full ^ (1 << u) for u, c in enumerate(covered)):
+    k = len(nodes)
+    if max(nodes, default=-1) != k - 1:
         return None
-    return rows
+    kids: list[list[int]] = [[] for _ in range(k)]
+    pairs: tuple[list, list] = ([], [])  # green, blue
+    for x, (parent, _, block) in nodes.items():
+        if parent >= 0:
+            kids[parent].append(x)
+        for y, color in block:
+            pairs[color].append((x, y))
+    leaf_vertex = [-1] * k
+    for v, p in enumerate(parsed):
+        leaf_vertex[p.path[-1]] = v
+    try:
+        m = SignedTreeModel([tuple(c) or None for c in kids], leaf_vertex, *pairs)
+    except ValueError:
+        return None
+    if m.n_leaves != len(parsed) or m.green & m.blue or not is_clean(m):
+        return None
+    return m
 
 
 def label_graph(g: Graph, w: SddWitness) -> dict[int, AdjacencyLabel]:

@@ -494,35 +494,48 @@ def realize(m: SignedTreeModel) -> Graph:
 
     Works on non-clean models too: leaf pairs with no signed pair above
     them are non-adjacent.  Signed pairs weakly above a fixed leaf pair
-    form a chain in the pair order (non-crossing), so painting the leaf
-    rectangles of all pairs in increasing depth order leaves every cell
-    with the color of its deepest covering pair.
+    form a chain in the pair order (non-crossing), so painting the pairs
+    into one row bitset per leaf position, in increasing depth sum, leaves
+    every cell with the color of its deepest covering pair.  Painting all
+    pairs in a fixed order gives the same graph except on models that
+    :func:`validate` rejects: here a pair with comparable endpoints covers
+    no leaf pair and is skipped, and two pairs of one depth sum on a common
+    cell raise ValueError, as in :func:`resolve`.
     """
     L = m.n_leaves
-    if L == 0:
-        raise ValueError("model has no leaves")
-    intervals = m.node_intervals()
-    order = sorted(
-        (m.depth[a] + m.depth[b], (a, b), color)
-        for (a, b), color in m.signed_pairs().items()
-    )
-    mat = [bytearray(L) for _ in range(L)]
-    for _, (a, b), color in order:
-        alo, ahi = intervals[a]
-        blo, bhi = intervals[b]
-        fill = (b"\x01" if color == BLUE else b"\x00") * (bhi - blo + 1)
-        for r in range(alo - 1, ahi):
-            mat[r][blo - 1 : bhi] = fill
-        fill = (b"\x01" if color == BLUE else b"\x00") * (ahi - alo + 1)
-        for r in range(blo - 1, bhi):
-            mat[r][alo - 1 : ahi] = fill
+    span = [range(lo - 1, hi) for lo, hi in m.node_intervals()]  # leaf positions below
+    mask = [((1 << len(s)) - 1) << s.start for s in span]
+    # Per depth sum and endpoint x: the cells painted in every row under x,
+    # and the blue ones.  Pairs at x of one depth sum have disjoint cells
+    # (their other endpoints share a depth), so ties show between endpoints.
+    levels = defaultdict(lambda: (defaultdict(int), defaultdict(int)))
+    for pairs, blue in ((m.green, False), (m.blue, True)):
+        for a, b in pairs:
+            if not mask[a] & mask[b]:
+                cells, blue_cells = levels[m.depth[a] + m.depth[b]]
+                cells[a] |= mask[b]
+                cells[b] |= mask[a]
+                if blue:
+                    blue_cells[a] |= mask[b]
+                    blue_cells[b] |= mask[a]
     vert = [m.leaf_vertex[leaf] for leaf in m.leaf_order()]
+    rows = [0] * L  # bit j of rows[i]: leaf positions i and j are adjacent
+    for _, (cells, blue_cells) in sorted(levels.items()):
+        painted = [0] * L
+        for x, c in cells.items():
+            keep, paint = ~c, blue_cells[x]
+            for i in span[x]:
+                if painted[i] & c:  # a tie: resolve raises, naming the two pairs
+                    resolve(m, vert[i], vert[(painted[i] & c).bit_length() - 1])
+                painted[i] |= c
+                rows[i] = rows[i] & keep | paint
     g = Graph(L)
-    for i in range(L):
-        row = mat[i]
-        for j in range(i + 1, L):
-            if row[j]:
-                g.add_edge(vert[i], vert[j])
+    for i, row in enumerate(rows):
+        row >>= i + 1
+        while row:
+            k = row.bit_length() - 1
+            g.add_edge(vert[i], vert[i + 1 + k])
+            row ^= 1 << k
     return g
 
 

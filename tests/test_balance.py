@@ -392,7 +392,7 @@ class TestShallowise:
         blue = [(0, 1), (0, 4), (1, 10), (4, 9)]
         m = SignedTreeModel(children, leafv, green, blue)
         assert is_clean(m)
-        with pytest.raises(AssertionError, match="incomparable origins"):
+        with pytest.raises(ValueError, match="incomparable origins"):
             shallowise(m, 2)
 
     def test_non_transversal_pair_rejected(self):

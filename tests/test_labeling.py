@@ -87,6 +87,23 @@ def matrix_outcome(decoder, labels):
         return str(exc)
 
 
+def write_label(n, id_bits, width, path, entries):
+    """A label in encode's layout from its parts; ``entries`` holds one
+    block of (other endpoint, color bit) per path node."""
+    fields = [(n, 16), (id_bits, 16), (width, 16), (len(path), 8)]
+    fields += [(x, id_bits) for x in path]
+    for block in entries:
+        fields.append((len(block), width.bit_length()))
+        for y, color in block:
+            fields += [(y, id_bits), (color, 1)]
+    value = nbits = 0
+    for field, bits in fields:
+        value = (value << bits) | field
+        nbits += bits
+    pad = -nbits % 8
+    return AdjacencyLabel((value << pad).to_bytes((nbits + pad) // 8, "big"), nbits)
+
+
 def flip_bit(label, k):
     data = bytearray(label.data)
     data[k // 8] ^= 1 << (7 - k % 8)
@@ -296,6 +313,33 @@ class TestDecodeMatrix:
         assert matrix_outcome(reference_decode_matrix, labels) == message
         assert matrix_outcome(decode_matrix, labels) == message
         assert fallbacks == [7]
+
+    def test_repeated_label_falls_back(self, fallbacks):
+        g, w = bench_instance("gnp", 40, 6, 1)
+        labels = label_graph(g, w)
+        cases = [{**labels, 1: labels[0]}]
+        # a new vertex with an isolated vertex's label leaves the spelled
+        # tree whole, and realize alone would return a graph one vertex short
+        g, w = bench_instance("embed", 64, 1, 1)
+        labels = label_graph(g, w)
+        v = next(v for v in range(g.n) if not g.adj[v])
+        cases.append({**labels, g.n: labels[v]})
+        message = "labels describe the same leaf"
+        for copied in cases:
+            assert matrix_outcome(reference_decode_matrix, copied) == message
+            assert matrix_outcome(decode_matrix, copied) == message
+        assert fallbacks == [40, 65]
+
+    def test_pair_in_both_colors_falls_back(self, fallbacks):
+        m = SignedTreeModel([None, None, (0, 1)], [0, 1, -1], [], [(0, 1)])
+        parts = {0: ((2, 0), ((), ((1, 1),))), 1: ((2, 1), ((), ()))}
+        assert {v: write_label(2, 2, 1, *p) for v, p in parts.items()} == encode(m)
+        # the sibling pair (0, 1) also stored green at leaf 1: the pairwise
+        # loop keeps the color read last, the model would keep blue
+        parts[1] = ((2, 1), ((), ((0, 0),)))
+        labels = {v: write_label(2, 2, 1, *p) for v, p in parts.items()}
+        assert decode_matrix(labels) == reference_decode_matrix(labels) == Graph(2)
+        assert fallbacks == [2]
 
     def test_single_bit_flips_match_reference(self, fallbacks):
         rng = random.Random(12)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdlabel import Graph, check_witness, embed_sdd1, gen_gnp, sdd_exact
+from sdlabel.balance import shallowise
 from sdlabel.model import (
+    BLUE,
     GREEN,
     ResolvedEdge,
     SignedTreeModel,
@@ -67,6 +69,35 @@ def reference_resolve(m, u, v):
     if not cands:
         raise ValueError(f"no signed pair above ({u}, {v}); model is not clean")
     return ResolvedEdge(*max(cands)[1:])
+
+
+def reference_realize(m):
+    """realize's former L x L bytearray painting: every signed pair, in
+    increasing (depth sum, pair), then a scan of all L^2/2 cells."""
+    L = m.n_leaves
+    intervals = m.node_intervals()
+    order = sorted(
+        (m.depth[a] + m.depth[b], (a, b), color)
+        for (a, b), color in m.signed_pairs().items()
+    )
+    mat = [bytearray(L) for _ in range(L)]
+    for _, (a, b), color in order:
+        alo, ahi = intervals[a]
+        blo, bhi = intervals[b]
+        fill = (b"\x01" if color == BLUE else b"\x00") * (bhi - blo + 1)
+        for r in range(alo - 1, ahi):
+            mat[r][blo - 1 : bhi] = fill
+        fill = (b"\x01" if color == BLUE else b"\x00") * (ahi - alo + 1)
+        for r in range(blo - 1, bhi):
+            mat[r][alo - 1 : ahi] = fill
+    vert = [m.leaf_vertex[leaf] for leaf in m.leaf_order()]
+    g = Graph(L)
+    for i in range(L):
+        row = mat[i]
+        for j in range(i + 1, L):
+            if row[j]:
+                g.add_edge(vert[i], vert[j])
+    return g
 
 
 def outcome(fn, *args):
@@ -270,6 +301,44 @@ class TestRealizeResolve:
         g = realize(mc)
         for u, v in combinations(range(mc.n_leaves), 2):
             assert (resolve(mc, u, v).color == "blue") == g.has_edge(u, v)
+
+
+class TestRealizeReference:
+    def test_corpus_witness_and_balanced_models(self, corpus):
+        for name, g, w in corpus:
+            m = make_clean(stm_from_witness(g, w))
+            b = make_clean(shallowise(m, w.d + 1))
+            assert realize(m) == reference_realize(m) == g, name
+            assert realize(b) == reference_realize(b) == g, name
+
+    def test_figure_model(self, figure_model):
+        m, _ = figure_model
+        # every blue pair also green: validate rejects it, and blue wins
+        both = SignedTreeModel(m.children, m.leaf_vertex, m.green | m.blue, m.blue)
+        for model in (m, make_clean(m), both):
+            assert realize(model) == reference_realize(model)
+        assert realize(both) == realize(m)
+
+    @given(random_models())
+    @settings(max_examples=100)
+    def test_random_models(self, mgd):
+        m, _, _ = mgd
+        for model in (m, make_clean(m)):
+            assert realize(model) == reference_realize(model)
+
+    def test_rejects_tying_crossing_pairs(self):
+        # a clean model whose pairs (1, 10) and (4, 7) cross and tie at
+        # depth 5 above leaves 1 and 4; the reference paints one over the other
+        children = [None] * 7 + [(1, 2), (0, 7), (5, 6), (3, 4), (9, 10), (8, 11)]
+        green = [(0, 7), (1, 2), (3, 4), (4, 7), (5, 6), (8, 11), (9, 10)]
+        blue = [(0, 1), (0, 4), (1, 10), (4, 9)]
+        m = SignedTreeModel(children, list(range(7)) + [-1] * 6, green, blue)
+        assert is_clean(m) and not validate(m)[0]
+        with pytest.raises(ValueError) as err:
+            realize(m)
+        assert str(err.value) == "signed pairs (1, 10) and (4, 7) tie at depth 5"
+        with pytest.raises(ValueError, match=r"^signed pairs \(1, 10\) and \(4, 7\) tie"):
+            resolve(m, 1, 4)
 
 
 class TestMakeClean:
