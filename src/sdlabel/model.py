@@ -185,6 +185,10 @@ class SignedTreeModel:
         """Tree order on unordered pairs: p is a weak ancestor of q."""
         a, b = p
         c, d = q
+        n = self.n_nodes
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
+            for node in (a, b, c, d):
+                self._check_node(node)
         return (self.is_ancestor(a, c) and self.is_ancestor(b, d)) or (
             self.is_ancestor(a, d) and self.is_ancestor(b, c)
         )
@@ -207,9 +211,12 @@ class SignedTreeModel:
             self._vertex_leaf = vl
         return self._vertex_leaf
 
-    def root_path(self, node: int) -> tuple[int, ...]:
+    def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} out of range [0, {self.n_nodes})")
+
+    def root_path(self, node: int) -> tuple[int, ...]:
+        self._check_node(node)
         if self._paths is None:
             self._paths = {}
         path = self._paths.get(node)

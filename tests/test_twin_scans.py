@@ -1,7 +1,8 @@
 """The incremental twin scans against the all-pairs loops they replaced.
 
 ``sdd_greedy`` re-tests only the partners an elimination split, and
-``is_diverse`` cuts every mask to the subset once.  The references below
+``is_diverse`` cuts every mask to the subset once and, on sparse subsets,
+tests only the pairs that can be twins.  The references below
 are the earlier loops, which recomputed every pair's restricted sd at
 every step; witnesses and verdicts must match them exactly, since the
 labels of graphs without a given witness depend on the greedy's steps.
@@ -24,6 +25,7 @@ from sdlabel import (
     sdd_greedy,
     sdd_greedy_escalate,
 )
+from sdlabel.hardness import build_sd_reduction, sd_witness_from_assignment
 from sdlabel.twins import SddWitness, _witness_search
 
 from conftest import complete_graph
@@ -157,10 +159,75 @@ class TestGreedy:
         assert hashlib.sha256(save_witness(w).encode()).hexdigest() == digest
 
 
+def scan_side(g, vertices, d):
+    """The scan is_diverse runs on S: None when the two least S-degrees sum
+    to at most d (a twin pair outright), else "sparse" for the candidate
+    scan, taken when sum(deg_S**2) < |S|**2 / 3, or "dense" for all pairs."""
+    s = sorted(set(vertices))
+    masks = g.neighbor_masks()
+    smask = sum(1 << u for u in s)
+    deg = sorted((masks[u] & smask).bit_count() for u in s)
+    if len(s) < 2 or deg[0] + deg[1] <= d:
+        return None
+    return "sparse" if 3 * sum(k * k for k in deg) < len(s) ** 2 else "dense"
+
+
+def sparse_graphs():
+    """Unions of two or three random Hamiltonian cycles: near-regular and
+    sparse, so their full vertex sets take the candidate scan."""
+    rng = random.Random(2027)
+    for _ in range(CASES // 4):
+        n = rng.randint(50, 90)
+        edges = []
+        for _ in range(rng.randint(2, 3)):
+            order = rng.sample(range(n), n)
+            edges += zip(order, order[1:] + order[:1])
+        yield Graph(n, edges)
+
+
+def pendant_pair(copies, u, v):
+    """Disjoint rook 3x3 graphs, in which every pair has sd 4, plus pendant
+    vertices u and v hung on different copies and one more vertex w
+    adjacent to both.  With w left out of S, u and v are non-adjacent,
+    share no neighbour in S and have S-degree 1 each, so sd_S(u, v) = 2;
+    every other pair of S has sd at least 3.  Returns (graph, S)."""
+    n = 9 * copies + 3
+    rest = [x for x in range(n) if x not in (u, v)]
+    w = rest.pop()
+    rook = gen_rook(3, 3).edges()
+    edges = [(rest[9 * c + a], rest[9 * c + b]) for c in range(copies) for a, b in rook]
+    edges += [(u, rest[0]), (v, rest[9]), (u, w), (v, w)]
+    return Graph(n, edges), [x for x in range(n) if x != w]
+
+
+def sd_reduction_sets(count=5, max_n=1000):
+    """(graph, kept, mutated) for the first ``count`` sd-reductions at d = 8
+    of the acceptance generator with fewer than ``max_n`` vertices."""
+    from test_acceptance import _gen_sd_formula, _Rng
+
+    rng = _Rng(2024)
+    out = []
+    while len(out) < count:
+        phi, assignment = _gen_sd_formula(rng)
+        r = build_sd_reduction(phi, 8)
+        if r.graph.n >= max_n:
+            continue
+        kept = sd_witness_from_assignment(r, phi, assignment).vertices
+        mutated = list(assignment)
+        for lit in phi.clauses[0]:
+            mutated[abs(lit) - 1] = lit < 0
+        drop = {
+            r.meta["lit_neg"][i] if mutated[i - 1] else r.meta["lit_pos"][i]
+            for i in range(1, phi.num_vars + 1)
+        }
+        out.append((r.graph, kept, frozenset(range(r.graph.n)) - drop))
+    return out
+
+
 class TestIsDiverse:
     def test_matches_reference(self):
         rng = random.Random(7)
-        verdicts = set()
+        verdicts, sides = set(), set()
         for g in random_graphs():
             for _ in range(3):
                 s = [u for u in range(g.n) if rng.random() < 0.7]
@@ -168,4 +235,52 @@ class TestIsDiverse:
                 got = is_diverse(g, s, d)
                 assert got == reference_is_diverse(g, s, d), (g.n, g.edges(), s, d)
                 verdicts.add(got)
+                sides.add((scan_side(g, s, d), got))
         assert verdicts == {True, False}
+        for g in sparse_graphs():
+            for d in range(6):
+                got = is_diverse(g, range(g.n), d)
+                assert got == reference_is_diverse(g, range(g.n), d), (g.n, g.edges(), d)
+                sides.add((scan_side(g, range(g.n), d), got))
+        for side in (None, "sparse", "dense"):
+            assert (side, False) in sides, sides
+        assert ("sparse", True) in sides and ("dense", True) in sides, sides
+
+    @pytest.mark.parametrize("u,v", [(0, 1), (0, 56), (20, 40), (55, 56)])
+    def test_only_twins_by_degree_sum(self, u, v):
+        g, s = pendant_pair(6, u, v)
+        masks = g.neighbor_masks()
+        smask = sum(1 << x for x in s)
+        twins = [
+            (a, b)
+            for i, a in enumerate(s)
+            for b in s[i + 1 :]
+            if restricted_sd(masks, smask, a, b) <= 2
+        ]
+        assert twins == [(u, v)]
+        assert not g.has_edge(u, v) and not masks[u] & masks[v] & smask
+        assert scan_side(g, s, 1) == "sparse"
+        assert is_diverse(g, s, 1) and reference_is_diverse(g, s, 1)
+        assert not is_diverse(g, s, 2) and not reference_is_diverse(g, s, 2)
+
+    def test_sd_reduction_certificates(self):
+        for g, kept, mutated in sd_reduction_sets():
+            assert scan_side(g, kept, 8) == scan_side(g, mutated, 8) == "sparse"
+            got = (is_diverse(g, kept, 8), is_diverse(g, mutated, 8))
+            want = (reference_is_diverse(g, kept, 8), reference_is_diverse(g, mutated, 8))
+            assert got == want == (True, False), g.n
+
+    def test_small_sets_and_d_zero(self):
+        for g in special_graphs():
+            sets = [[], *([u] for u in range(g.n)), list(range(g.n))]
+            sets += [[u, v] for u in range(g.n) for v in range(u + 1, g.n)]
+            for s in sets:
+                for d in range(3):
+                    got = is_diverse(g, s, d)
+                    assert got == reference_is_diverse(g, s, d), (g.n, g.edges(), s, d)
+                    # two vertices alone are 0-twins; fewer are never diverse
+                    assert not got or len(s) > 2
+        # d = 0 on a set whose pairs all differ: the path 0-1-2-3
+        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert is_diverse(p4, range(4), 0) and reference_is_diverse(p4, range(4), 0)
+        assert not is_diverse(p4, range(4), 1)
