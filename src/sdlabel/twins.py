@@ -98,9 +98,9 @@ def _has_twin_pair(masks, ids, d: int) -> bool:
     N(v) differ in exactly one of the bits u, v.  Each pair is cut to S on
     its own and the scan stops at the first twin pair, which suits the
     many small sets of the exhaustive oracles.  is_diverse instead cuts
-    every mask to S once and, on sparse sets, tests only the pairs that
-    can be twins, which pays for one large S; _greedy_steps keeps its cut
-    masks up to date across eliminations.
+    every mask to S once and tests only the pairs that can be twins, which
+    pays for one large S; _greedy_steps keeps its cut masks up to date
+    across eliminations.
     """
     smask = 0
     for u in ids:
@@ -127,12 +127,8 @@ def is_diverse(g: Graph, vertices, d: int) -> bool:
     pair is of the third kind, and each u is tested only against the
     vertices above it in N_S(u) and in the S-neighbourhoods of N_S(u).
 
-    Gathering those candidates costs about sum(deg_S(v)**2) over S, the
-    all-pairs scan |S|**2 / 2 pair tests, and a candidate test is dearer
-    than an all-pairs one.  So the candidates are used only when that sum
-    is below |S|**2 / 3; denser sets are scanned pair by pair.  (On G(n, p)
-    with n = 200..1000, CPython 3.11, the two break even at a sum of about
-    0.35 to 0.45 |S|**2.)  Both scans give the same verdict.
+    Gathering those candidates costs about sum(deg_S(v)**2) over S, so on
+    dense sets it is slower than testing all |S|**2 / 2 pairs would be.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -155,14 +151,6 @@ def is_diverse(g: Graph, vertices, d: int) -> bool:
     # With both neighbourhoods cut to S, sd(u, v) = |N[u] ^ N(v)| - 1: the
     # closed N[u] and the open N(v) differ in exactly one of the bits u, v.
     limit = d + 1
-    if 3 * sum(k * k for k in deg) >= len(s) ** 2:
-        sub = [cut[u] for u in s]
-        for i, u in enumerate(s):
-            closed = sub[i] | (1 << u)
-            for other in sub[i + 1 :]:
-                if (closed ^ other).bit_count() <= limit:
-                    return False
-        return True
     adj = g.adj
     for u in s:
         cand = cut[u]

@@ -1,8 +1,8 @@
 """The incremental twin scans against the all-pairs loops they replaced.
 
 ``sdd_greedy`` re-tests only the partners an elimination split, and
-``is_diverse`` cuts every mask to the subset once and, on sparse subsets,
-tests only the pairs that can be twins.  The references below
+``is_diverse`` cuts every mask to the subset once and tests only the
+pairs that can be twins.  The references below
 are the earlier loops, which recomputed every pair's restricted sd at
 every step; witnesses and verdicts must match them exactly, since the
 labels of graphs without a given witness depend on the greedy's steps.
@@ -159,22 +159,9 @@ class TestGreedy:
         assert hashlib.sha256(save_witness(w).encode()).hexdigest() == digest
 
 
-def scan_side(g, vertices, d):
-    """The scan is_diverse runs on S: None when the two least S-degrees sum
-    to at most d (a twin pair outright), else "sparse" for the candidate
-    scan, taken when sum(deg_S**2) < |S|**2 / 3, or "dense" for all pairs."""
-    s = sorted(set(vertices))
-    masks = g.neighbor_masks()
-    smask = sum(1 << u for u in s)
-    deg = sorted((masks[u] & smask).bit_count() for u in s)
-    if len(s) < 2 or deg[0] + deg[1] <= d:
-        return None
-    return "sparse" if 3 * sum(k * k for k in deg) < len(s) ** 2 else "dense"
-
-
 def sparse_graphs():
     """Unions of two or three random Hamiltonian cycles: near-regular and
-    sparse, so their full vertex sets take the candidate scan."""
+    sparse, so most pairs of their full vertex sets are never candidates."""
     rng = random.Random(2027)
     for _ in range(CASES // 4):
         n = rng.randint(50, 90)
@@ -226,8 +213,10 @@ def sd_reduction_sets(count=5, max_n=1000):
 
 class TestIsDiverse:
     def test_matches_reference(self):
+        # random_graphs spans every edge density, sparse_graphs the sparse
+        # sets on which most pairs are skipped; each gives both verdicts
         rng = random.Random(7)
-        verdicts, sides = set(), set()
+        verdicts = set()
         for g in random_graphs():
             for _ in range(3):
                 s = [u for u in range(g.n) if rng.random() < 0.7]
@@ -235,16 +224,14 @@ class TestIsDiverse:
                 got = is_diverse(g, s, d)
                 assert got == reference_is_diverse(g, s, d), (g.n, g.edges(), s, d)
                 verdicts.add(got)
-                sides.add((scan_side(g, s, d), got))
         assert verdicts == {True, False}
+        verdicts = set()
         for g in sparse_graphs():
             for d in range(6):
                 got = is_diverse(g, range(g.n), d)
                 assert got == reference_is_diverse(g, range(g.n), d), (g.n, g.edges(), d)
-                sides.add((scan_side(g, range(g.n), d), got))
-        for side in (None, "sparse", "dense"):
-            assert (side, False) in sides, sides
-        assert ("sparse", True) in sides and ("dense", True) in sides, sides
+                verdicts.add(got)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("u,v", [(0, 1), (0, 56), (20, 40), (55, 56)])
     def test_only_twins_by_degree_sum(self, u, v):
@@ -259,13 +246,11 @@ class TestIsDiverse:
         ]
         assert twins == [(u, v)]
         assert not g.has_edge(u, v) and not masks[u] & masks[v] & smask
-        assert scan_side(g, s, 1) == "sparse"
         assert is_diverse(g, s, 1) and reference_is_diverse(g, s, 1)
         assert not is_diverse(g, s, 2) and not reference_is_diverse(g, s, 2)
 
     def test_sd_reduction_certificates(self):
         for g, kept, mutated in sd_reduction_sets():
-            assert scan_side(g, kept, 8) == scan_side(g, mutated, 8) == "sparse"
             got = (is_diverse(g, kept, 8), is_diverse(g, mutated, 8))
             want = (reference_is_diverse(g, kept, 8), reference_is_diverse(g, mutated, 8))
             assert got == want == (True, False), g.n
