@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import Graph, gen_rook, induced_subgraph
 from .twins import DiverseSet, SddWitness, check_witness
 
 __all__ = [
@@ -158,8 +158,9 @@ class ReductionMap:
     """A reduction graph plus a total vertex -> role-tag map.
 
     ``meta`` records the construction's internals (gadget ids, port
-    assignments, parameters) so validators and witness builders do not
-    re-derive them from the raw graph.
+    assignments, parameters, the formula as ``"phi"``) so validators and
+    witness builders do not re-derive them from the raw graph or from
+    ``roles``, which is written for :func:`save_roles` only.
     """
 
     graph: Graph
@@ -192,15 +193,18 @@ def _bubble_layout(d: int):
 
 
 def build_bubble(d: int):
-    """Stand-alone bubble gadget; returns (graph, top_ports, col_ports)."""
+    """Stand-alone bubble gadget; returns (graph, top_ports, col_ports).
+    The graph is the w x w rook grid induced on the kept cells, so vertex
+    k is the k-th kept cell in row-major order."""
     w, cells, top, col = _bubble_layout(d)
-    index = {cell: i for i, cell in enumerate(cells)}
-    g = Graph(len(cells))
-    for i, (r1, c1) in enumerate(cells):
-        for (r2, c2) in cells[i + 1 :]:
-            if r1 == r2 or c1 == c2:
-                g.add_edge(index[(r1, c1)], index[(r2, c2)])
+    g, _ = induced_subgraph(gen_rook(w, w), [r * w + c for r, c in cells])
+    index = {cell: k for k, cell in enumerate(cells)}
     return g, [index[c] for c in top], [index[c] for c in col]
+
+
+def _check_formula(meta: dict, phi: CnfFormula) -> None:
+    if phi != meta["phi"]:
+        raise ValueError("formula differs from the one the reduction was built from")
 
 
 def _check_sd_shape(phi: CnfFormula, d: int) -> None:
@@ -289,20 +293,22 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
 
     next_id = c_base + 2 * m
     bubbles = []
-    _, cells, top, col = _bubble_layout(d)
-    grid = build_bubble(d)[0].edges()  # over cell indices, in cells order
+    _, cells, _, _ = _bubble_layout(d)
+    bubble, top, col = build_bubble(d)
+    grid = bubble.edges()
 
     def attach_bubble(bid: str, members, counts):
         nonlocal next_id
         ids = list(range(next_id, next_id + len(cells)))
-        index = dict(zip(cells, ids))
-        for cell, v in index.items():
+        for cell, v in zip(cells, ids):
             roles[v] = f"bub:{bid}:{cell[0]}:{cell[1]}"
         next_id += len(cells)
         # ids[a], not an offset sum: the adjacency sets keep the ints they
         # are given, and one shared int per cell keeps the reduction small.
         edges.extend((ids[a], ids[b]) for a, b in grid)
-        ports = [index[c] for c in top] + [index[c] for c in col]
+        top_ids = [ids[k] for k in top]
+        col_ids = [ids[k] for k in col]
+        ports = top_ids + col_ids
         assert sum(counts) == len(ports) == d + 1
         assert len(counts) == len(members)
         pos = 0
@@ -313,9 +319,9 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
         bubbles.append(
             {
                 "id": bid,
-                "cells": {cell: index[cell] for cell in cells},
-                "top_ports": [index[c] for c in top],
-                "col_ports": [index[c] for c in col],
+                "cells": dict(zip(cells, ids)),
+                "top_ports": top_ids,
+                "col_ports": col_ids,
                 "members": tuple(members),
                 "counts": tuple(counts),
             }
@@ -355,6 +361,7 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
         "vc": vc,
         "dc": dc,
         "bubbles": bubbles,
+        "phi": phi,
     }
     return ReductionMap(g, roles, meta)
 
@@ -362,54 +369,57 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
 def validate_sd_reduction(r: ReductionMap, d: int) -> tuple[bool, list[str]]:
     """Structural checks: every bubble neatly attached (ports have exactly
     one outside neighbor, interiors none, at most one member straddles the
-    top row and the column), bubble interiors are exact rook-minus grids,
-    and the degree observations (clause vertices have exactly d/2 bubble
-    neighbors; y_i at least d/2+1, and at least d once i >= 3)."""
-    g = r.graph
-    issues = []
+    top row and the column), bubble interiors are exact copies of
+    :func:`build_bubble`, and the degree observations (clause vertices have
+    exactly d/2 bubble neighbors; y_i at least d/2+1, and at least d once
+    i >= 3).  Per bubble, issues come as wrong cell pairs, then ports and
+    interiors in cell order, then straddling members.  A ``d`` other than
+    ``meta["d"]`` gives one issue naming both."""
     meta = r.meta
     if meta.get("kind") != "sd":
         return False, ["not a diverse-subgraph reduction"]
+    if d != meta["d"]:
+        return False, [f"reduction was built at d = {meta['d']}, not d = {d}"]
+    g = r.graph
+    _, cells, _, _ = _bubble_layout(d)
+    bubble, top, col = build_bubble(d)
+    ports = set(top) | set(col)
+    issues = []
     bubble_vertices = set()
     for b in meta["bubbles"]:
-        bubble_vertices.update(b["cells"].values())
-    for b in meta["bubbles"]:
-        cells = b["cells"]
-        own = set(cells.values())
-        ports = set(b["top_ports"]) | set(b["col_ports"])
-        by_vertex = {v: cell for cell, v in cells.items()}
-        # internal structure: same row/column iff adjacent
-        for cell, v in cells.items():
-            for cell2, v2 in cells.items():
-                if v < v2:
-                    expect = cell[0] == cell2[0] or cell[1] == cell2[1]
-                    if g.has_edge(v, v2) != expect:
-                        issues.append(f"bubble {b['id']}: cells {cell} {cell2} wrong")
-        for v in own:
-            outside = [x for x in g.adj[v] if x not in own]
-            if v in ports:
-                if len(outside) != 1:
-                    issues.append(
-                        f"bubble {b['id']}: port {by_vertex[v]} has "
-                        f"{len(outside)} outside neighbors, wanted 1"
+        vertices = [b["cells"][cell] for cell in cells]
+        bubble_vertices.update(vertices)
+        slot = {v: k for k, v in enumerate(vertices)}
+        attach = []
+        for k, v in enumerate(vertices):
+            inside = {slot[x] for x in g.adj[v] if x in slot}
+            outside = len(g.adj[v]) - len(inside)
+            for j in sorted(inside ^ bubble.adj[k]):
+                if j > k:
+                    issues.append(f"bubble {b['id']}: cells {cells[k]} {cells[j]} wrong")
+            if k in ports:
+                if outside != 1:
+                    attach.append(
+                        f"bubble {b['id']}: port {cells[k]} has "
+                        f"{outside} outside neighbors, wanted 1"
                     )
             elif outside:
-                issues.append(
-                    f"bubble {b['id']}: interior {by_vertex[v]} touches outside"
-                )
+                attach.append(f"bubble {b['id']}: interior {cells[k]} touches outside")
+        issues.extend(attach)
         straddlers = [
             s
             for s in b["members"]
-            if set(g.adj[s]) & set(b["top_ports"]) and set(g.adj[s]) & set(b["col_ports"])
+            if not g.adj[s].isdisjoint(b["top_ports"])
+            and not g.adj[s].isdisjoint(b["col_ports"])
         ]
         if len(straddlers) > 1:
             issues.append(f"bubble {b['id']}: {len(straddlers)} members straddle")
     half = d // 2
     for j in range(meta["num_clauses"]):
-        for v in (meta["vc"][j], meta["dc"][j]):
-            k = sum(1 for x in g.adj[v] if x in bubble_vertices)
+        for tag in ("vc", "dc"):
+            k = sum(1 for x in g.adj[meta[tag][j]] if x in bubble_vertices)
             if k != half:
-                issues.append(f"{r.roles[v]} has {k} bubble neighbors, wanted {half}")
+                issues.append(f"{tag}:{j + 1} has {k} bubble neighbors, wanted {half}")
     for i, y in enumerate(meta["y_ids"], start=1):
         k = sum(1 for x in g.adj[y] if x in bubble_vertices)
         if k < half + 1:
@@ -428,6 +438,7 @@ def sd_witness_from_assignment(r: ReductionMap, phi: CnfFormula, assignment) -> 
     meta = r.meta
     if meta.get("kind") != "sd":
         raise ValueError("not a diverse-subgraph reduction")
+    _check_formula(meta, phi)
     missed = unsat_clauses(phi, assignment)
     if missed:
         raise ValueError(f"assignment leaves clauses {missed} unsatisfied")
@@ -570,6 +581,7 @@ def build_sdd_reduction(phi: CnfFormula) -> ReductionMap:
         "clause_block": clause_block,
         "gamma": gamma,
         "iota": iota,
+        "phi": phi,
     }
     return ReductionMap(g, roles, meta)
 
@@ -588,6 +600,7 @@ def sdd_witness_from_assignment(
     meta = r.meta
     if meta.get("kind") != "sdd":
         raise ValueError("not an elimination-order reduction")
+    _check_formula(meta, phi)
     missed = unsat_clauses(phi, assignment)
     if allowed_unsat_clause is not None:
         if any(j != allowed_unsat_clause for j in missed):
@@ -650,8 +663,8 @@ def extract_assignment(r: ReductionMap, order: SddWitness):
 
     Per variable, the last gadget vertex to go (or the survivor) decides:
     x is true iff that vertex's original neighborhood contains N(v_0).
-    Returns (assignment, number of clauses it leaves unsatisfied); the
-    count is at most 1 for any valid order.
+    Returns (assignment, number of clauses of ``meta["phi"]`` it leaves
+    unsatisfied); the count is at most 1 for any valid order.
     """
     meta = r.meta
     if meta.get("kind") != "sdd":
@@ -666,27 +679,4 @@ def extract_assignment(r: ReductionMap, order: SddWitness):
         gadget = (blk["v0"], *blk["ts"], blk["v1"])
         last = max(gadget, key=lambda v: position.get(v, len(order.steps)))
         assignment.append(g.adj[last] >= g.adj[blk["v0"]])
-    unsat = sum(
-        1
-        for j in meta["clause_block"]
-        if not _clause_satisfied_by_blocks(r, meta, j, assignment)
-    )
-    return assignment, unsat
-
-
-def _clause_satisfied_by_blocks(r, meta, j, assignment) -> bool:
-    cb = meta["clause_block"][j]
-    g = r.graph
-    # literal k of clause j is satisfied iff its representative survives on
-    # the truthful side; recover the literal's sign from the wiring
-    for lv in cb["lits"]:
-        rep = next(
-            x
-            for x in g.adj[lv]
-            if r.roles[x].startswith("var:") and r.roles[x].endswith(("rep0", "rep1"))
-        )
-        var = int(r.roles[rep].split(":")[1])
-        positive = r.roles[rep].endswith("rep1")
-        if assignment[var - 1] == positive:
-            return True
-    return False
+    return assignment, len(unsat_clauses(meta["phi"], assignment))

@@ -1,10 +1,13 @@
 """Reduction builders, their structural validators, and witness round trips."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
 from sdlabel import Graph, check_witness, is_diverse, sdd_exact
+from sdlabel.graph import save_edge_list
 from sdlabel.hardness import (
     CnfFormula,
     build_bubble,
@@ -23,6 +26,72 @@ from sdlabel.hardness import (
 
 PHI_SD = CnfFormula(4, [(1, -3, 4), (-2, 3, -4), (-1, 2)])
 PHI_SDD = CnfFormula(4, [(1, 2, 3), (-1, -2, 4), (2, -3, -4)])
+
+
+def reference_validate_sd_reduction(r, d):
+    """The former validate_sd_reduction: every cell pair of each bubble
+    against the row-or-column rule through has_edge, then a second walk
+    over each cell's outside neighbours."""
+    g = r.graph
+    issues = []
+    meta = r.meta
+    if meta.get("kind") != "sd":
+        return False, ["not a diverse-subgraph reduction"]
+    bubble_vertices = set()
+    for b in meta["bubbles"]:
+        bubble_vertices.update(b["cells"].values())
+    for b in meta["bubbles"]:
+        cells = b["cells"]
+        own = set(cells.values())
+        ports = set(b["top_ports"]) | set(b["col_ports"])
+        by_vertex = {v: cell for cell, v in cells.items()}
+        # internal structure: same row/column iff adjacent
+        for cell, v in cells.items():
+            for cell2, v2 in cells.items():
+                if v < v2:
+                    expect = cell[0] == cell2[0] or cell[1] == cell2[1]
+                    if g.has_edge(v, v2) != expect:
+                        issues.append(f"bubble {b['id']}: cells {cell} {cell2} wrong")
+        for v in own:
+            outside = [x for x in g.adj[v] if x not in own]
+            if v in ports:
+                if len(outside) != 1:
+                    issues.append(
+                        f"bubble {b['id']}: port {by_vertex[v]} has "
+                        f"{len(outside)} outside neighbors, wanted 1"
+                    )
+            elif outside:
+                issues.append(
+                    f"bubble {b['id']}: interior {by_vertex[v]} touches outside"
+                )
+        straddlers = [
+            s
+            for s in b["members"]
+            if set(g.adj[s]) & set(b["top_ports"]) and set(g.adj[s]) & set(b["col_ports"])
+        ]
+        if len(straddlers) > 1:
+            issues.append(f"bubble {b['id']}: {len(straddlers)} members straddle")
+    half = d // 2
+    for j in range(meta["num_clauses"]):
+        for v in (meta["vc"][j], meta["dc"][j]):
+            k = sum(1 for x in g.adj[v] if x in bubble_vertices)
+            if k != half:
+                issues.append(f"{r.roles[v]} has {k} bubble neighbors, wanted {half}")
+    for i, y in enumerate(meta["y_ids"], start=1):
+        k = sum(1 for x in g.adj[y] if x in bubble_vertices)
+        if k < half + 1:
+            issues.append(f"y:{i} has {k} bubble neighbors, wanted >= {half + 1}")
+        if i >= 3 and k < d:
+            issues.append(f"y:{i} has {k} bubble neighbors, wanted >= {d}")
+    return (not issues, issues)
+
+
+def toggle_edge(g, u, v):
+    if v in g.adj[u]:
+        g.adj[u].discard(v)
+        g.adj[v].discard(u)
+    else:
+        g.add_edge(u, v)
 
 
 class TestCnf:
@@ -127,6 +196,25 @@ class TestBubble:
         degs = sorted(g.degree(u) for u in range(g.n))
         assert degs[0] >= 2 * (w - 1) - 2
 
+    @pytest.mark.parametrize("d", [8, 10, 12, 14, 16])
+    def test_matches_coordinate_rule(self, d):
+        w = d // 2 + 2
+        cells = [
+            (r, c) for r in range(w) for c in range(w) if (r, c) not in {(0, w - 2), (0, w - 1)}
+        ]
+        expected = Graph(
+            len(cells),
+            [
+                (i, j)
+                for i, j in itertools.combinations(range(len(cells)), 2)
+                if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]
+            ],
+        )
+        g, top, col = build_bubble(d)
+        assert g == expected
+        assert [cells[k] for k in top] == [(0, c) for c in range(w - 2)]
+        assert [cells[k] for k in col] == [(r, w - 1) for r in range(1, w)]
+
 
 class TestSdReduction:
     def test_vertex_count_formula(self):
@@ -194,6 +282,59 @@ class TestSdReduction:
         ok, issues = validate_sd_reduction(r, 8)
         assert not ok and any("interior" in s for s in issues)
 
+    def test_mutation_intra_bubble_edge_added(self):
+        r = build_sd_reduction(PHI_SD, 8)
+        cells = r.meta["bubbles"][0]["cells"]
+        r.graph.add_edge(cells[(1, 0)], cells[(2, 1)])
+        ok, issues = validate_sd_reduction(r, 8)
+        assert (ok, issues) == (False, ["bubble s1: cells (1, 0) (2, 1) wrong"])
+
+    def test_mutation_rook_edge_removed(self):
+        r = build_sd_reduction(PHI_SD, 8)
+        cells = r.meta["bubbles"][2]["cells"]
+        toggle_edge(r.graph, cells[(3, 1)], cells[(3, 4)])
+        ok, issues = validate_sd_reduction(r, 8)
+        assert (ok, issues) == (False, ["bubble term1: cells (3, 1) (3, 4) wrong"])
+
+    def test_mutation_member_straddles(self):
+        # in s1, d_1 already takes the last top port and the first column
+        # port; wiring z_1 to a column port too makes two straddlers
+        r = build_sd_reduction(PHI_SD, 8)
+        b = r.meta["bubbles"][0]
+        r.graph.add_edge(b["members"][0], b["col_ports"][-1])
+        ok, issues = validate_sd_reduction(r, 8)
+        assert not ok
+        assert issues == [
+            "bubble s1: port (5, 5) has 2 outside neighbors, wanted 1",
+            "bubble s1: 2 members straddle",
+        ]
+
+    def test_issue_order(self):
+        # cell pairs first, then ports and interiors in cell order
+        r = build_sd_reduction(PHI_SD, 8)
+        b = r.meta["bubbles"][0]
+        cells = b["cells"]
+        r.graph.add_edge(cells[(4, 4)], r.meta["y_ids"][5])
+        r.graph.add_edge(cells[(2, 2)], r.meta["y_ids"][5])
+        toggle_edge(r.graph, cells[(1, 5)], r.meta["dc"][0])
+        r.graph.add_edge(cells[(3, 0)], cells[(4, 1)])
+        ok, issues = validate_sd_reduction(r, 8)
+        assert issues == [
+            "bubble s1: cells (3, 0) (4, 1) wrong",
+            "bubble s1: port (1, 5) has 0 outside neighbors, wanted 1",
+            "bubble s1: interior (2, 2) touches outside",
+            "bubble s1: interior (4, 4) touches outside",
+            "dc:1 has 3 bubble neighbors, wanted 4",
+        ]
+
+    @pytest.mark.parametrize("other", [10, -2])
+    def test_other_d_is_one_issue(self, other):
+        r = build_sd_reduction(PHI_SD, 8)
+        assert validate_sd_reduction(r, other) == (
+            False,
+            [f"reduction was built at d = 8, not d = {other}"],
+        )
+
     @pytest.mark.parametrize(
         "phi,frag",
         [
@@ -205,6 +346,94 @@ class TestSdReduction:
     def test_shape_rejected(self, phi, frag):
         with pytest.raises(ValueError, match=frag):
             build_sd_reduction(phi, 8)
+
+
+class TestValidateAgainstReference:
+    """The one-pass validator against the former all-pairs one, on
+    reductions with 1-5 random edge flips: the same verdict and the same
+    issues, compared as sorted lists."""
+
+    FORMULAS = [
+        PHI_SD,
+        CnfFormula(3, [(1, 2), (2, 3), (1, 3)]),
+        CnfFormula(5, [(1, -2, 3), (-1, 4), (2, -4, 5), (-3, -5)]),
+    ]
+
+    @staticmethod
+    def random_pair(rng, r):
+        meta, n = r.meta, r.graph.n
+        b = rng.choice(meta["bubbles"])
+        cells = list(b["cells"].values())
+        kind = rng.randrange(5)
+        if kind == 0:  # inside one bubble
+            return tuple(rng.sample(cells, 2))
+        if kind == 1:  # a cell and any vertex
+            return rng.choice(cells), rng.randrange(n)
+        if kind == 2:  # a member and a port of its bubble
+            return rng.choice(b["members"]), rng.choice(b["top_ports"] + b["col_ports"])
+        if kind == 3:  # a clause or y vertex and a cell
+            hub = rng.choice(meta["vc"] + meta["dc"] + meta["y_ids"])
+            return hub, rng.choice(cells)
+        return rng.randrange(n), rng.randrange(n)
+
+    @pytest.mark.parametrize("d", [8, 10, 12])
+    def test_matches_reference_on_flips(self, d):
+        rng = random.Random(1500 + d)
+        kinds = set()
+        invalid = 0
+        for phi in self.FORMULAS:
+            r = build_sd_reduction(phi, d)
+            for _ in range(60):
+                flips = set()
+                while len(flips) < rng.randint(1, 5):
+                    u, v = self.random_pair(rng, r)
+                    if u != v:
+                        flips.add((min(u, v), max(u, v)))
+                for u, v in flips:
+                    toggle_edge(r.graph, u, v)
+                ok, issues = validate_sd_reduction(r, d)
+                ref_ok, ref_issues = reference_validate_sd_reduction(r, d)
+                assert ok == ref_ok
+                assert sorted(issues) == sorted(ref_issues)
+                invalid += not ok
+                kinds.update(
+                    kind
+                    for kind in ("wrong", "port", "interior", "straddle", "bubble neighbors")
+                    if any(kind in s for s in issues)
+                )
+                for u, v in flips:
+                    toggle_edge(r.graph, u, v)
+            assert validate_sd_reduction(r, d) == (True, [])
+        assert invalid >= 150
+        assert kinds == {"wrong", "port", "interior", "straddle", "bubble neighbors"}
+
+
+class TestReductionFingerprints:
+    """sha256 of the saved reduction graph and role map, pinned from the
+    builders whose bubble grid was a row-or-column loop over the cells."""
+
+    @pytest.mark.parametrize(
+        "build,digest",
+        [
+            (
+                lambda: build_sd_reduction(PHI_SD, 8),
+                "7ab948cfe63f9dd66d4c0d314e49999dab357174d68316650172c7c724bb97b9",
+            ),
+            (
+                lambda: build_sd_reduction(PHI_SD, 12),
+                "05abe3afb964d5984c7b2a5709da8547d46c8d583d9cb53cce0d6be517706c2d",
+            ),
+            (
+                lambda: build_sdd_reduction(PHI_SDD),
+                "0b66f4902ea9cc549125cdad4909cda345123d82f90bd49fad83101e3b59bb0a",
+            ),
+        ],
+        ids=["sd-8", "sd-12", "sdd"],
+    )
+    def test_saved_reduction_unchanged(self, build, digest):
+        r = build()
+        text = save_edge_list(r.graph) + save_roles(r)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDeterminism:
@@ -268,6 +497,43 @@ class TestSdWitness:
         }
         keep = frozenset(range(r.graph.n)) - drop
         assert not is_diverse(r.graph, keep, d)
+
+
+class TestForeignFormula:
+    """Witness builders reject a formula the reduction was not built from
+    with one line, instead of a KeyError or a failed self-check."""
+
+    @pytest.mark.parametrize(
+        "build,witness,phi",
+        [
+            (
+                lambda: build_sd_reduction(PHI_SD, 8),
+                sd_witness_from_assignment,
+                CnfFormula(5, list(PHI_SD.clauses) + [(5, -1)]),
+            ),
+            (
+                lambda: build_sd_reduction(PHI_SD, 8),
+                sd_witness_from_assignment,
+                CnfFormula(4, [(-1, -3, 4), (-2, 3, -4), (-1, 2)]),
+            ),
+            (
+                lambda: build_sdd_reduction(PHI_SDD),
+                sdd_witness_from_assignment,
+                CnfFormula(5, list(PHI_SDD.clauses) + [(5, 1, -3), (-5, 2, 4)]),
+            ),
+            (
+                lambda: build_sdd_reduction(PHI_SDD),
+                sdd_witness_from_assignment,
+                CnfFormula(4, [(-1, 2, 3), (-1, -2, 4), (2, -3, -4)]),
+            ),
+        ],
+        ids=["sd-more-vars", "sd-other-signs", "sdd-more-vars", "sdd-other-signs"],
+    )
+    def test_rejected(self, build, witness, phi):
+        r = build()
+        with pytest.raises(ValueError) as err:
+            witness(r, phi, sat_oracle(phi))
+        assert str(err.value) == "formula differs from the one the reduction was built from"
 
 
 class TestSddReduction:
