@@ -120,27 +120,33 @@ def orient_low_outdegree(nodes, pairs) -> Orientation:
     """Orient every pair towards its endpoint peeled earlier.
 
     ``pairs`` may repeat a pair in either orientation; both endpoints must
-    be in ``nodes``, which may also hold isolated nodes.  Runs
-    :func:`graph.min_degree_peel`: O((N + M) log N) for N nodes and M
-    distinct pairs.
+    be in ``nodes``, which may also hold isolated nodes.  The nodes are
+    indexed 0..N-1 in id order, so :func:`graph.min_degree_peel` still
+    breaks ties towards the smallest id: O((N + M) log N) for N nodes and
+    M distinct pairs.
     """
-    adj = {u: set() for u in nodes}
+    ids = sorted(set(nodes))
+    index = {u: i for i, u in enumerate(ids)}
+    adj: list[set[int]] = [set() for _ in ids]
     for a, b in pairs:
         if a == b:
             raise ValueError(f"degenerate pair {(a, b)}")
-        if a not in adj or b not in adj:
+        i = index.get(a)
+        j = index.get(b)
+        if i is None or j is None:
             raise ValueError(f"pair {(a, b)} has an endpoint outside the node set")
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[i].add(j)
+        adj[j].add(i)
     order, width = min_degree_peel(adj)
+    rank = [0] * len(ids)
+    for r, i in enumerate(order):
+        rank[i] = r
     owner = {}
-    peeled = set()
-    for u in order:
-        peeled.add(u)
-        for w in adj[u]:
-            if w not in peeled:
-                owner[(u, w) if u < w else (w, u)] = u
-    return Orientation(owner, order, width)
+    for i, nbrs in enumerate(adj):
+        for j in nbrs:
+            if i < j:  # ids ascend with the index, so (ids[i], ids[j]) is normalized
+                owner[(ids[i], ids[j])] = ids[i] if rank[i] < rank[j] else ids[j]
+    return Orientation(owner, tuple(ids[i] for i in order), width)
 
 
 def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:

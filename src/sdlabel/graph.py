@@ -175,32 +175,39 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 def min_degree_peel(adj) -> tuple[tuple[int, ...], int]:
     """Smallest-last peel: repeatedly remove a vertex of least remaining degree.
 
-    ``adj`` maps each vertex to the set of its neighbors (symmetric, no
-    loops).  Ties go to the smallest vertex id, so every step removes
+    ``adj`` is a sequence indexed by vertex id 0..N-1 whose entry ``u`` is
+    a collection of ``u``'s neighbors (symmetric, no loops, no repeats).
+    Ties go to the smallest vertex id, so every step removes
     ``min(alive, key=lambda v: (deg[v], v))``.  Returns the removal order
     and the largest degree a vertex had when removed, which is the
     degeneracy.  A lazy heap on (degree, id) keeps one current entry per
     alive vertex and skips entries made stale by later degree drops:
-    O((N + M) log N) for N vertices and M edges.
+    O((N + M) log N) for N vertices and M edges.  Each entry packs
+    (degree, id) into one int, ``degree << s | id`` with ``id < 2**s``,
+    which orders exactly as the tuple and compares faster.
     """
-    deg = {u: len(nbrs) for u, nbrs in adj.items()}
-    heap = [(d, u) for u, d in deg.items()]
+    deg = [len(nbrs) for nbrs in adj]
+    s = len(deg).bit_length()
+    mask = (1 << s) - 1
+    heap = [(d << s) | u for u, d in enumerate(deg)]
     heapify(heap)
     order = []
     width = 0
     while heap:
-        d, u = heappop(heap)
-        if deg.get(u) != d:  # removed already, or its degree has dropped since
+        key = heappop(heap)
+        u = key & mask
+        d = key >> s
+        if deg[u] != d:  # removed already (-1), or its degree has dropped since
             continue
-        del deg[u]
+        deg[u] = -1
         order.append(u)
         if d > width:
             width = d
         for w in adj[u]:
-            dw = deg.get(w)
-            if dw is not None:
+            dw = deg[w]
+            if dw > 0:  # alive: an alive neighbor of u has degree >= 1
                 deg[w] = dw - 1
-                heappush(heap, (dw - 1, w))
+                heappush(heap, ((dw - 1) << s) | w)
     return tuple(order), width
 
 
@@ -213,7 +220,7 @@ def degeneracy(g: Graph) -> DegeneracyCertificate:
     """
     if g.n < 1:
         raise ValueError("degeneracy needs at least one vertex")
-    order, d = min_degree_peel(dict(enumerate(g.adj)))
+    order, d = min_degree_peel(g.adj)
     return DegeneracyCertificate(d, order)
 
 

@@ -12,25 +12,27 @@ Label layout, MSB first:
 A label is its path ids followed by one block per path node.  A block
 depends only on its node, so it is identical in every label whose path
 passes through that node.  Each signed pair is stored once, owned by the
-endpoint peeled earlier in the degeneracy order of the pair graph, so
-per-node counts never exceed the scheme width.  Two labels decode
-adjacency alone: the stored entries whose endpoints fall on opposite path
-suffixes below the meet of the two paths form a chain, and the deepest
-one's color decides.  The decoder picks it with ``model.deepest_pair``, the
-same routine ``model.resolve`` uses on a whole model.  ``decode_matrix``
-rebuilds the model a label set spells and realizes it with
-``model.realize``, falling back to the pairwise loop where the labels
-spell no such model.
+endpoint with the smaller rank in ``graph.min_degree_peel`` of the pair
+graph, so per-node counts never exceed the scheme width.  ``encode``
+builds each node's path ids and blocks once, as its parent's prefixes
+extended by the node, and a leaf's label joins its two prefixes to the
+preamble.  Two labels decode adjacency alone: the stored entries whose
+endpoints fall on opposite path suffixes below the meet of the two paths
+form a chain, and the deepest one's color decides.  The decoder picks it
+with ``model.deepest_pair``, the same routine ``model.resolve`` uses on a
+whole model.  ``decode_matrix`` rebuilds the model a label set spells and
+realizes it with ``model.realize``, falling back to the pairwise loop
+where the labels spell no such model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import orient_low_outdegree, shallowise, width_bound
-from .graph import Graph
+from .balance import shallowise, width_bound
+from .graph import Graph, min_degree_peel
 from .model import (
-    BLUE, SignedTreeModel, deepest_pair, is_clean, make_clean, realize, stm_from_witness
+    SignedTreeModel, deepest_pair, is_clean, make_clean, realize, stm_from_witness
 )
 from .twins import SddWitness
 
@@ -91,18 +93,36 @@ def layout_bound(n: int, id_bits: int, width: int, h: int) -> int:
 def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     """Labels for every vertex of a clean model, keyed by graph vertex.
 
-    Each node's block (owned-pair count, then its entries) is built once
-    and shared by every label whose root path passes through the node.
+    Each pair goes to the endpoint with the smaller rank in the min-degree
+    peel of the pair graph.  Nodes are then visited in preorder, and each
+    node extends its parent's two prefixes: the path ids, and the blocks
+    (owned-pair count, then its entries).  A leaf's label is the preamble,
+    its path length and its two prefixes, so each block is built once and
+    shared by every label whose root path passes through the node.
+
+    Raises ``ValueError`` on a model that is not clean, whose leaf
+    vertices are not 0..n-1 each once, or that has a pair in both colors.
     """
     if not is_clean(m):
         raise ValueError("labels require a clean model")
-    ori = orient_low_outdegree(range(m.n_nodes), m.green | m.blue)
-    n, width = m.n_leaves, ori.max_outdegree
-    id_bits = max(1, (m.n_nodes - 1).bit_length())
-    paths = {leaf: m.root_path(leaf) for leaf in m.leaf_order()}
-    h_max = max(len(p) for p in paths.values())
+    n, n_nodes = m.n_leaves, m.n_nodes
+    vertices = {v for v in m.leaf_vertex if v >= 0}
+    if len(vertices) != n or max(vertices) >= n:
+        raise ValueError(f"leaf vertices are not a bijection onto 0..{n - 1}")
+    both = m.green & m.blue
+    if both:
+        raise ValueError(f"pair {min(both)} is both green and blue")
+    depth = m.depth
+    h_max = max(depth) + 1
     if h_max > (1 << DEPTH_BITS) - 1:
         raise ValueError(f"tree depth {h_max} does not fit the 8-bit path length")
+    adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    for pairs in (m.green, m.blue):
+        for a, b in pairs:
+            adj[a].append(b)
+            adj[b].append(a)
+    order, width = min_degree_peel(adj)
+    id_bits = max(1, (n_nodes - 1).bit_length())
     for limit, value, what in (
         (1 << 16, n, "vertex count"),
         (1 << 16, id_bits, "id width"),
@@ -110,36 +130,59 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     ):
         if value >= limit:
             raise ValueError(f"{what} {value} does not fit the preamble")
-    owned: dict[int, list[int]] = {}
-    for (a, b), color in sorted(m.signed_pairs().items()):
-        o = ori.owner[(a, b)]
-        other = b if o == a else a
-        owned.setdefault(o, []).append((other << 1) | (color == BLUE))
+    rank = [0] * n_nodes
+    for r, u in enumerate(order):
+        rank[u] = r
+    # owned[x] holds (other << 1) | blue for each pair x owns; sorted per
+    # node, this is the order of the pairs (a, b), a < b, through x.
+    owned: list[list[int]] = [[] for _ in range(n_nodes)]
+    for pairs, blue in ((m.green, 0), (m.blue, 1)):
+        for a, b in pairs:
+            if rank[a] < rank[b]:
+                owned[a].append((b << 1) | blue)
+            else:
+                owned[b].append((a << 1) | blue)
     cb = width.bit_length()  # ceil(log2(W+1))
     entry_bits = id_bits + 1
-    blocks = {}
-    for node, entries in owned.items():
+    preamble = (n << 32) | (id_bits << 16) | width
+    parent, leaf_vertex = m.parent, m.leaf_vertex
+    preorder = [0] * n_nodes
+    for node, t in enumerate(m.tin):
+        preorder[t] = node
+    # Per node: its root path's ids, and its blocks root first with their
+    # bit count.  A parent precedes its children in preorder.
+    path_ids = [0] * n_nodes
+    blocks = [0] * n_nodes
+    block_bits = [0] * n_nodes
+    labels = {}
+    for node in preorder:  # leaves come left to right
+        entries = owned[node]
         assert len(entries) <= width
+        entries.sort()
         value = len(entries)
         for entry in entries:
             value = (value << entry_bits) | entry
-        blocks[node] = (value, cb + len(entries) * entry_bits)
-    empty = (0, cb)
-    preamble = (n << 32) | (id_bits << 16) | width
-    labels = {}
-    for leaf, path in paths.items():
-        acc = (preamble << DEPTH_BITS) | len(path)
-        for node in path:
-            acc = (acc << id_bits) | node
-        nbits = PREAMBLE_BITS + DEPTH_BITS + len(path) * id_bits
-        for node in path:
-            value, bits = blocks.get(node, empty)
-            acc = (acc << bits) | value
-            nbits += bits
-        assert nbits <= layout_bound(n, id_bits, width, len(path))
+        bits = cb + len(entries) * entry_bits
+        up = parent[node]
+        if up < 0:
+            path_ids[node], blocks[node], block_bits[node] = node, value, bits
+        else:
+            path_ids[node] = (path_ids[up] << id_bits) | node
+            blocks[node] = (blocks[up] << bits) | value
+            block_bits[node] = block_bits[up] + bits
+        v = leaf_vertex[node]
+        if v < 0:
+            continue
+        h = depth[node] + 1
+        path_bits = h * id_bits
+        all_block_bits = block_bits[node]
+        nbits = PREAMBLE_BITS + DEPTH_BITS + path_bits + all_block_bits
+        assert nbits <= layout_bound(n, id_bits, width, h)
+        acc = (preamble << DEPTH_BITS) | h
+        acc = (((acc << path_bits) | path_ids[node]) << all_block_bits) | blocks[node]
         pad = (-nbits) % 8
         data = (acc << pad).to_bytes((nbits + pad) // 8, "big")
-        labels[m.leaf_vertex[leaf]] = AdjacencyLabel(data, nbits)
+        labels[v] = AdjacencyLabel(data, nbits)
     return labels
 
 

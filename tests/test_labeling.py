@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from sdlabel import Graph, SddWitness, gen_gnp, gen_rook, sdd_exact, embed_sdd1
 from sdlabel import labeling
+from sdlabel.balance import orient_low_outdegree, shallowise
 from sdlabel.bench import bench_instance
 from sdlabel.labeling import (
+    DEPTH_BITS,
+    PREAMBLE_BITS,
     AdjacencyLabel,
     _decode_parsed,
     _parse,
@@ -19,12 +22,88 @@ from sdlabel.labeling import (
     encode,
     label_graph,
     label_stats,
+    layout_bound,
     load_labels,
     save_labels,
 )
-from sdlabel.model import SignedTreeModel, make_clean, realize, stm_from_witness
+from sdlabel.model import (
+    BLUE, SignedTreeModel, is_clean, make_clean, realize, stm_from_witness, validate
+)
 
 from conftest import build_figure_model, complete_graph
+
+
+def reference_encode(m):
+    """encode's former loop over a global pair sort and per-leaf root
+    paths, with ownership from orient_low_outdegree, kept to compare
+    against."""
+    if not is_clean(m):
+        raise ValueError("labels require a clean model")
+    ori = orient_low_outdegree(range(m.n_nodes), m.green | m.blue)
+    n, width = m.n_leaves, ori.max_outdegree
+    id_bits = max(1, (m.n_nodes - 1).bit_length())
+    paths = {leaf: m.root_path(leaf) for leaf in m.leaf_order()}
+    h_max = max(len(p) for p in paths.values())
+    if h_max > (1 << DEPTH_BITS) - 1:
+        raise ValueError(f"tree depth {h_max} does not fit the 8-bit path length")
+    for limit, value, what in (
+        (1 << 16, n, "vertex count"),
+        (1 << 16, id_bits, "id width"),
+        (1 << 16, width, "scheme width"),
+    ):
+        if value >= limit:
+            raise ValueError(f"{what} {value} does not fit the preamble")
+    owned = {}
+    for (a, b), color in sorted(m.signed_pairs().items()):
+        o = ori.owner[(a, b)]
+        other = b if o == a else a
+        owned.setdefault(o, []).append((other << 1) | (color == BLUE))
+    cb = width.bit_length()
+    entry_bits = id_bits + 1
+    blocks = {}
+    for node, entries in owned.items():
+        assert len(entries) <= width
+        value = len(entries)
+        for entry in entries:
+            value = (value << entry_bits) | entry
+        blocks[node] = (value, cb + len(entries) * entry_bits)
+    empty = (0, cb)
+    preamble = (n << 32) | (id_bits << 16) | width
+    labels = {}
+    for leaf, path in paths.items():
+        acc = (preamble << DEPTH_BITS) | len(path)
+        for node in path:
+            acc = (acc << id_bits) | node
+        nbits = PREAMBLE_BITS + DEPTH_BITS + len(path) * id_bits
+        for node in path:
+            value, bits = blocks.get(node, empty)
+            acc = (acc << bits) | value
+            nbits += bits
+        assert nbits <= layout_bound(n, id_bits, width, len(path))
+        pad = (-nbits) % 8
+        data = (acc << pad).to_bytes((nbits + pad) // 8, "big")
+        labels[m.leaf_vertex[leaf]] = AdjacencyLabel(data, nbits)
+    return labels
+
+
+def encode_outcome(encoder, m):
+    """The labels, or the message of the ValueError raised."""
+    try:
+        return encoder(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+def comb_model(k):
+    """The clean left comb on k leaves: its deepest leaves have k levels."""
+    children = [None] * k
+    leaf_vertex = list(range(k))
+    top = 0
+    for leaf in range(1, k):
+        children.append((top, leaf))
+        leaf_vertex.append(-1)
+        top = len(children) - 1
+    return make_clean(SignedTreeModel(children, leaf_vertex))
 
 
 def reference_decode_parsed(a, b):
@@ -164,6 +243,67 @@ class TestEncode:
                     else:
                         block_at[node] = entries
         assert shared > 0
+
+
+    @pytest.mark.parametrize(
+        "leaf_vertex,green,blue,message",
+        [
+            ([-1, 0, 1], [(1, 2)], [(1, 2)], "pair (1, 2) is both green and blue"),
+            ([-1, 0, 0], [(1, 2)], [], "leaf vertices are not a bijection onto 0..1"),
+            ([-1, 0, 7], [(1, 2)], [], "leaf vertices are not a bijection onto 0..1"),
+        ],
+    )
+    def test_rejects_invalid_model(self, leaf_vertex, green, blue, message):
+        m = SignedTreeModel([(1, 2), None, None], leaf_vertex, green, blue)
+        assert is_clean(m) and message in validate(m)[1]
+        with pytest.raises(ValueError) as exc:
+            encode(m)
+        assert str(exc.value) == message
+
+
+class TestEncodeReference:
+    """encode against reference_encode: equal labels, or equal errors."""
+
+    @staticmethod
+    def check(m):
+        got = encode_outcome(encode, m)
+        assert got == encode_outcome(reference_encode, m)
+        return got
+
+    def test_corpus_witness_and_balanced_models(self, corpus):
+        for name, g, w in corpus:
+            m = make_clean(stm_from_witness(g, w))
+            assert isinstance(self.check(m), dict), name
+            assert isinstance(self.check(make_clean(shallowise(m, w.d + 1))), dict), name
+
+    def test_figure_model(self, figure_model):
+        m, _ = figure_model
+        assert self.check(m) == "labels require a clean model"
+        assert len(self.check(make_clean(m))) == 14
+
+    @pytest.mark.parametrize(
+        "family,n,d,seed",
+        [
+            ("embed", 512, 1, 1),
+            ("embed", 512, 1, 2),
+            ("embed", 512, 1, 3),
+            ("rook", 256, 1, 0),
+            ("gnp", 120, 6, 1),
+            ("gnp", 120, 12, 2),
+        ],
+    )
+    def test_bench_instances(self, family, n, d, seed):
+        g, w = bench_instance(family, n, d, seed)
+        m = make_clean(shallowise(make_clean(stm_from_witness(g, w)), w.d + 1))
+        assert decode_matrix(self.check(m)) == g
+
+    @pytest.mark.parametrize("k", [255, 256, 300])
+    def test_depth_limit(self, k):
+        got = self.check(comb_model(k))
+        if k <= 255:
+            assert len(got) == k
+        else:
+            assert got == f"tree depth {k} does not fit the 8-bit path length"
 
 
 class TestDecode:

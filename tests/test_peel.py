@@ -1,10 +1,10 @@
 """The shared smallest-last peel against the O(N^2) min-scan it replaced.
 
-``graph.degeneracy``, ``balance.orient_low_outdegree`` and ``model.width``
-all run ``graph.min_degree_peel``.  The references below are the earlier
-per-caller implementations, which picked the next vertex with
-``min(alive, key=(deg, id))``; orders, owners and widths must match them
-exactly, since the label bits depend on them.
+``graph.degeneracy``, ``balance.orient_low_outdegree``, ``model.width`` and
+``labeling.encode`` all run ``graph.min_degree_peel``.  The references
+below are the earlier per-caller implementations, which picked the next
+vertex with ``min(alive, key=(deg, id))``; orders, owners and widths must
+match them exactly, since the label bits depend on them.
 """
 
 import random
@@ -105,9 +105,22 @@ def test_orientation_matches_min_scan():
 
 
 def test_peel_empty_and_isolated():
-    assert min_degree_peel({}) == ((), 0)
-    assert min_degree_peel({3: set(), 1: set(), 2: set()}) == ((1, 2, 3), 0)
+    assert min_degree_peel([]) == ((), 0)
+    assert min_degree_peel([set(), set(), set()]) == ((0, 1, 2), 0)
     assert degeneracy(Graph(1)).order == (0,)
+
+
+def test_orientation_nodes_out_of_order():
+    # Ids are peeled in id order whatever order the nodes come in: every
+    # node starts at degree 1 or 2, and the ties go to the smaller id.
+    for nodes, pairs in (
+        ([5, 3, 4], [(5, 3), (4, 5)]),
+        ([9, 2, 7, 4], [(9, 2), (7, 4), (2, 7), (4, 9)]),
+        ([8, 1, 6, 1], [(6, 8), (1, 8)]),
+    ):
+        o = orient_low_outdegree(nodes, pairs)
+        assert (o.owner, o.order, o.max_outdegree) == reference_orientation(nodes, pairs)
+    assert orient_low_outdegree([5, 3, 4], [(5, 3), (4, 5)]).order == (3, 4, 5)
 
 
 def test_orientation_rejects_foreign_endpoint():
