@@ -234,28 +234,28 @@ def decode(a: AdjacencyLabel, b: AdjacencyLabel) -> bool:
 
 
 def decode_matrix(labels: dict[int, AdjacencyLabel]) -> Graph:
-    """Full graph reconstruction; parses each label once.
+    """Full graph reconstruction; reads each label once.
 
     Labels from :func:`encode` spell the model they were encoded from: a
     node has the same parent, depth and block in every label through it.
     That model is rebuilt and :func:`model.realize` decides every vertex
     pair at once.  Where the labels spell no clean model with one leaf per
-    vertex, or ``realize`` finds a tie, the vertex pairs are decoded one by
-    one as :func:`decode` does, so both paths return the same graph and
-    raise the same ``ValueError``.  Neither path is an integrity check: a
-    flipped bit that leaves the blocks consistent decodes silently wrong
-    on both.
+    vertex, or ``realize`` finds a tie, the labels are parsed and the
+    vertex pairs decoded one by one as :func:`decode` does, so both paths
+    return the same graph and raise the same ``ValueError``.  Neither path
+    is an integrity check: a flipped bit that leaves the blocks consistent
+    decodes silently wrong on both.
     """
-    parsed = {v: _parse(l) for v, l in labels.items()}
-    n = len(parsed)
-    if sorted(parsed) != list(range(n)):
-        raise ValueError("labels must cover vertices 0..n-1")
-    m = _spelled_model([parsed[v] for v in range(n)])
+    m = _spelled_model(labels)
     if m is not None:
         try:
             return realize(m)
         except ValueError:  # two pairs of one depth sum share a leaf pair
             pass
+    parsed = {v: _parse(l) for v, l in labels.items()}
+    n = len(parsed)
+    if sorted(parsed) != list(range(n)):
+        raise ValueError("labels must cover vertices 0..n-1")
     return _decode_pairwise(parsed)
 
 
@@ -268,41 +268,82 @@ def _decode_pairwise(parsed: dict[int, _Parsed]) -> Graph:
     return g
 
 
-def _spelled_model(parsed: list[_Parsed]) -> SignedTreeModel | None:
+def _spelled_model(labels: dict[int, AdjacencyLabel]) -> SignedTreeModel | None:
     """The model that the labels of vertices 0..n-1 spell, or None where
-    the pairwise loop must decide: the preambles or a node disagree between
-    labels, the node ids are not 0..k-1, the constructor rejects the tree or
-    an entry, two vertices end at one leaf, a pair is stored in both colors,
-    or the model is not clean (in a clean model the sibling pair at the
-    meet of two leaves covers them, so every vertex pair decodes)."""
-    if len({(p.n, p.id_bits, p.width) for p in parsed}) > 1:
-        return None
-    nodes: dict[int, tuple] = {}  # node -> (parent, depth, block)
-    for p in parsed:
+    the pairwise loop must decide: a label does not parse, the keys are not
+    0..n-1, the preambles or a node disagree between labels, the node ids
+    are not 0..k-1, the constructor rejects the tree or an entry, two
+    vertices end at one leaf, a pair is stored in both colors, or the model
+    is not clean (in a clean model the sibling pair at the meet of two
+    leaves covers them, so every vertex pair decodes).
+
+    Each field is read straight from the label's bits, and a block is kept
+    as one int per node: a label set costs a few objects per node, not one
+    per entry of every label."""
+    n = len(labels)
+    head = None
+    nodes: dict[int, tuple[int, int, int, int]] = {}  # node -> (parent, depth, count, block)
+    leaves = [0] * n
+    for v in range(n):
+        label = labels.get(v)
+        if label is None:
+            return None
+        nbits, total = label.nbits, len(label.data) * 8
+        pos = nbits - PREAMBLE_BITS - DEPTH_BITS  # bits left after the preamble and h
+        if nbits > total or pos < 0:
+            return None
+        value = int.from_bytes(label.data, "big") >> (total - nbits)
+        top = value >> pos
+        if head is None:
+            head = top >> DEPTH_BITS
+            id_bits, width = (head >> 16) & 0xFFFF, head & 0xFFFF
+            if id_bits == 0:
+                return None
+            cb = width.bit_length()
+            entry_bits = id_bits + 1
+            id_mask, cb_mask = (1 << id_bits) - 1, (1 << cb) - 1
+        elif top >> DEPTH_BITS != head:
+            return None
+        h = top & ((1 << DEPTH_BITS) - 1)
+        pos -= h * id_bits
+        if h == 0 or pos < 0:
+            return None
+        ids = value >> pos
         parent = -1
-        for depth, (x, block) in enumerate(zip(p.path, p.entries)):
-            info = (parent, depth, block)
+        for depth in range(h):
+            x = (ids >> ((h - 1 - depth) * id_bits)) & id_mask
+            pos -= cb
+            if pos < 0:
+                return None
+            count = (value >> pos) & cb_mask
+            bits = count * entry_bits
+            pos -= bits
+            if count > width or pos < 0:
+                return None
+            info = (parent, depth, count, (value >> pos) & ((1 << bits) - 1))
             if nodes.setdefault(x, info) != info:
                 return None
             parent = x
+        leaves[v] = parent
     k = len(nodes)
     if max(nodes, default=-1) != k - 1:
         return None
     kids: list[list[int]] = [[] for _ in range(k)]
     pairs: tuple[list, list] = ([], [])  # green, blue
-    for x, (parent, _, block) in nodes.items():
+    for x, (parent, _, count, block) in nodes.items():
         if parent >= 0:
             kids[parent].append(x)
-        for y, color in block:
-            pairs[color].append((x, y))
+        for shift in range((count - 1) * entry_bits, -1, -entry_bits):
+            entry = block >> shift
+            pairs[entry & 1].append((x, (entry >> 1) & id_mask))
     leaf_vertex = [-1] * k
-    for v, p in enumerate(parsed):
-        leaf_vertex[p.path[-1]] = v
+    for v, leaf in enumerate(leaves):
+        leaf_vertex[leaf] = v
     try:
         m = SignedTreeModel([tuple(c) or None for c in kids], leaf_vertex, *pairs)
     except ValueError:
         return None
-    if m.n_leaves != len(parsed) or m.green & m.blue or not is_clean(m):
+    if m.n_leaves != n or m.green & m.blue or not is_clean(m):
         return None
     return m
 

@@ -507,6 +507,42 @@ class TestDecodeMatrix:
         # silently wrong there as on the loop
         assert fast > 0 and fell_back > 0 and silent_wrong > 0, (fast, fell_back)
 
+    def test_cut_and_rekeyed_labels_match_reference(self, fallbacks):
+        # decode_matrix reads fields straight from the bits; a label whose
+        # length or keys are off must end as the reference's parse does
+        g, w = bench_instance("gnp", 40, 6, 1)
+        labels = label_graph(g, w)
+        rng = random.Random(13)
+        cases = [{k: v for k, v in labels.items() if k != 39}, {**labels, 40: labels[5]}]
+        for _ in range(60):
+            v = rng.randrange(g.n)
+            lab = labels[v]
+            cut = rng.choice(
+                [
+                    AdjacencyLabel(lab.data, rng.randrange(lab.nbits)),
+                    AdjacencyLabel(lab.data, len(lab.data) * 8 + 1),
+                    AdjacencyLabel(lab.data[: rng.randrange(len(lab.data))], lab.nbits),
+                    AdjacencyLabel(lab.data + b"\xff", lab.nbits),
+                ]
+            )
+            cases.append({**labels, v: cut})
+        raised = 0
+        for case in cases:
+            got = matrix_outcome(decode_matrix, case)
+            assert got == matrix_outcome(reference_decode_matrix, case)
+            raised += isinstance(got, str)
+        assert 0 < raised < len(cases)
+
+    def test_count_over_width_raises(self, fallbacks):
+        # a 2-bit count of 3 under width 2, repeating one pair, would spell
+        # a clean model; the parse rejects the count first
+        parts = {0: ((2, 0), ((), ((1, 1),) * 3)), 1: ((2, 1), ((), ()))}
+        labels = {v: write_label(2, 2, 2, *p) for v, p in parts.items()}
+        message = "corrupt label: owned count exceeds width"
+        assert matrix_outcome(reference_decode_matrix, labels) == message
+        assert matrix_outcome(decode_matrix, labels) == message
+        assert fallbacks == []
+
 
 class TestLabelGraph:
     def test_k8_all_adjacent(self):
