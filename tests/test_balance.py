@@ -12,11 +12,11 @@ from sdlabel import Graph, gen_gnp, sdd_exact
 from sdlabel.bench import bench_instance
 from sdlabel.balance import (
     Orientation,
+    _covers,
     complete_tree,
     interval_cover,
     orient_low_outdegree,
     shallowise,
-    subtree_interval,
     width_bound,
 )
 from sdlabel.model import (
@@ -266,17 +266,25 @@ class TestIntervalCover:
                 assert len(interval_cover(n, i, j)) <= 2 * math.log2(n)
 
 
+def test_covers_from_children_match_interval_cover(corpus, figure_model):
+    models = [make_clean(stm_from_witness(g, w)) for _, g, w in corpus]
+    for m in models + [figure_model[0]]:
+        n = m.n_leaves
+        want = [interval_cover(n, lo, hi) for lo, hi in m.node_intervals()]
+        assert [tuple(c) for c in _covers(m, complete_tree(n))] == want
+
+
 class TestSubtreeInterval:
     def test_root_and_leaves(self, figure_model):
         m, names = figure_model
-        root = m.root
-        assert subtree_interval(m, root) == (1, 14)
+        iv = m.node_intervals()
+        assert iv[m.root] == (1, 14)
         for k, leaf in enumerate(m.leaf_order(), start=1):
-            assert subtree_interval(m, leaf) == (k, k)
+            assert iv[leaf] == (k, k)
 
     def test_figure_parent_of_45(self, figure_model):
         m, names = figure_model
-        assert subtree_interval(m, names["f"]) == (4, 5)
+        assert m.node_intervals()[names["f"]] == (4, 5)
 
     def test_intersecting_intervals_are_nested(self, figure_model):
         m, _ = figure_model

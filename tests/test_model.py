@@ -100,6 +100,36 @@ def reference_realize(m):
     return g
 
 
+def reference_stm_from_witness(g, w):
+    """stm_from_witness's former set replay: a copy of the adjacency sets,
+    private neighbours as sorted set differences, and each eliminated
+    vertex discarded from its neighbours' sets."""
+    assert check_witness(g, w)
+    n = g.n
+    children = [None] * n
+    leaf_vertex = list(range(n))
+    root_of = {v: v for v in range(n)}
+    adj = [set(a) for a in g.adj]
+    green = set()
+    blue = set()
+    norm = lambda a, b: (min(a, b), max(a, b))  # noqa: E731
+    for e, p in w.steps:
+        re, rp = root_of[e], root_of[p]
+        (blue if p in adj[e] else green).add(norm(re, rp))
+        for x in sorted(adj[e] - adj[p] - {p}):
+            blue.add(norm(re, root_of[x]))
+        for x in sorted(adj[p] - adj[e] - {e}):
+            green.add(norm(re, root_of[x]))
+        children.append((rp, re))
+        leaf_vertex.append(-1)
+        root_of[p] = len(children) - 1
+        del root_of[e]
+        for x in adj[e]:
+            adj[x].discard(e)
+        adj[e].clear()
+    return SignedTreeModel(children, leaf_vertex, green, blue)
+
+
 def outcome(fn, *args):
     """fn(*args), or the ValueError class if it raises one."""
     try:
@@ -409,6 +439,13 @@ class TestFromWitness:
     def test_rejects_bad_witness(self):
         with pytest.raises(ValueError, match="witness"):
             stm_from_witness(path_graph(4), SddWitness(0, ((0, 1), (1, 2), (2, 3))))
+
+    def test_mask_replay_matches_set_replay(self, corpus):
+        for name, g, w in corpus:
+            got, want = stm_from_witness(g, w), reference_stm_from_witness(g, w)
+            assert got.children == want.children, name
+            assert got.leaf_vertex == want.leaf_vertex, name
+            assert (got.green, got.blue) == (want.green, want.blue), name
 
     def test_corpus_round_trip(self, corpus):
         for name, g, w in corpus[:40]:

@@ -13,26 +13,45 @@ import pytest
 
 from sdlabel import Graph, gen_gnp
 from sdlabel.balance import orient_low_outdegree, shallowise
+from sdlabel.bench import padded_embed
 from sdlabel.graph import degeneracy, min_degree_peel
 from sdlabel.model import make_clean, stm_from_witness, width
 
 CASES = 200
 
 
-def reference_degeneracy(g):
-    deg = [len(g.adj[u]) for u in range(g.n)]
-    alive = [True] * g.n
+def reference_peel(adj):
+    """(order, width) as min_degree_peel returns them."""
+    n = len(adj)
+    deg = [len(adj[u]) for u in range(n)]
+    alive = [True] * n
     order = []
     d = 0
-    for _ in range(g.n):
-        u = min((v for v in range(g.n) if alive[v]), key=lambda v: (deg[v], v))
+    for _ in range(n):
+        u = min((v for v in range(n) if alive[v]), key=lambda v: (deg[v], v))
         d = max(d, deg[u])
         order.append(u)
         alive[u] = False
-        for w in g.adj[u]:
+        for w in adj[u]:
             if alive[w]:
                 deg[w] -= 1
-    return d, tuple(order)
+    return tuple(order), d
+
+
+def reference_degeneracy(g):
+    order, d = reference_peel(g.adj)
+    return d, order
+
+
+def balanced_pair_graph(g, w):
+    """The pair graph encode peels: the clean balanced model's nodes, an
+    edge per signed pair."""
+    b = make_clean(shallowise(make_clean(stm_from_witness(g, w)), w.d + 1))
+    adj = [[] for _ in range(b.n_nodes)]
+    for a, c in b.green | b.blue:
+        adj[a].append(c)
+        adj[c].append(a)
+    return adj
 
 
 def reference_orientation(nodes, pairs):
@@ -102,6 +121,20 @@ def test_orientation_matches_min_scan():
         nodes, pairs = random_pair_set(rng)
         o = orient_low_outdegree(nodes, pairs)
         assert (o.owner, o.order, o.max_outdegree) == reference_orientation(nodes, pairs), case
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [],
+        lambda: Graph(40).adj,
+        lambda: balanced_pair_graph(*padded_embed(512, 1)),
+    ],
+    ids=["empty", "edgeless", "balanced-embed-512"],
+)
+def test_peel_matches_min_scan(make):
+    adj = make()
+    assert min_degree_peel(adj) == reference_peel(adj)
 
 
 def test_peel_empty_and_isolated():
