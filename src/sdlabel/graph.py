@@ -1,9 +1,10 @@
 """Undirected simple graphs on dense integer vertices.
 
-Vertices are always 0..n-1.  Adjacency is one Python set per vertex, which
-keeps the symmetric-difference arithmetic used throughout the library a
-matter of plain set algebra.  Every generator documents its vertex layout
-so downstream tests are reproducible.
+Vertices are always 0..n-1.  Adjacency is one Python set per vertex; the
+symmetric-difference arithmetic used throughout the library reads it as one
+int bitmask per vertex, which a graph builds once and keeps
+(``Graph.neighbor_masks``).  Every generator documents its vertex layout so
+downstream tests are reproducible.
 """
 
 from __future__ import annotations
@@ -26,15 +27,21 @@ __all__ = [
 
 
 class Graph:
-    """Simple undirected graph: no self-loops, no parallel edges."""
+    """Simple undirected graph: no self-loops, no parallel edges.
 
-    __slots__ = ("n", "adj")
+    ``adj`` changes only through ``add_edge`` and ``remove_edge``: both drop
+    the neighbour masks that ``neighbor_masks`` keeps, so an edit made
+    straight on ``adj`` would leave them stale.
+    """
+
+    __slots__ = ("n", "adj", "_masks")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError(f"negative vertex count: {n}")
         self.n = n
         self.adj: list[set[int]] = [set() for _ in range(n)]
+        self._masks = None
         adj = self.adj
         for u, v in edges:
             if u != v >= 0 <= u < n > v:  # distinct, both in [0, n)
@@ -54,6 +61,18 @@ class Graph:
             raise ValueError(f"self-loop at vertex {u}")
         self.adj[u].add(v)
         self.adj[v].add(u)
+        self._masks = None
+
+    def remove_edge(self, u: int, v: int) -> None:
+        self._check(u)
+        self._check(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if v not in self.adj[u]:
+            raise ValueError(f"no edge ({u}, {v})")
+        self.adj[u].remove(v)
+        self.adj[v].remove(u)
+        self._masks = None
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)
@@ -72,14 +91,23 @@ class Graph:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
-    def neighbor_masks(self) -> list[int]:
-        """Adjacency as one bitmask per vertex (bit v set iff v is a neighbor)."""
-        masks = [0] * self.n
-        for u in range(self.n):
-            m = 0
-            for v in self.adj[u]:
-                m |= 1 << v
-            masks[u] = m
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Adjacency as one bitmask per vertex (bit v set iff v is a neighbor).
+
+        Built on the first call and kept: later calls return the same tuple
+        until ``add_edge`` or ``remove_edge`` drops it, so every twin scan
+        on one graph shares one copy.  The tuple holds about n**2 / 8 bytes
+        and lives as long as the graph.
+        """
+        masks = self._masks
+        if masks is None:
+            built = []
+            for nbrs in self.adj:
+                m = 0
+                for v in nbrs:
+                    m |= 1 << v
+                built.append(m)
+            self._masks = masks = tuple(built)
         return masks
 
     def __eq__(self, other) -> bool:
@@ -110,15 +138,13 @@ def gen_rook(a: int, b: int) -> Graph:
     """
     if a < 1 or b < 1:
         raise ValueError("rook graph needs a, b >= 1")
-    g = Graph(a * b)
+    edges = []
     for i in range(a):
         for j in range(b):
             u = i * b + j
-            for jj in range(j + 1, b):  # same row
-                g.add_edge(u, i * b + jj)
-            for ii in range(i + 1, a):  # same column
-                g.add_edge(u, ii * b + j)
-    return g
+            edges.extend((u, i * b + jj) for jj in range(j + 1, b))  # same row
+            edges.extend((u, ii * b + j) for ii in range(i + 1, a))  # same column
+    return Graph(a * b, edges)
 
 
 def gen_shift(n: int) -> Graph:
@@ -249,12 +275,10 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     for u in kept:
         g._check(u)
     index = {u: i for i, u in enumerate(kept)}
-    h = Graph(len(kept))
-    for u in kept:
-        for v in g.adj[u]:
-            if u < v and v in index:
-                h.add_edge(index[u], index[v])
-    return h, tuple(kept)
+    edges = [
+        (index[u], index[v]) for u in kept for v in g.adj[u] if u < v and v in index
+    ]
+    return Graph(len(kept), edges), tuple(kept)
 
 
 def save_edge_list(g: Graph) -> str:

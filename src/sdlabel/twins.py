@@ -68,11 +68,15 @@ class DiverseSet:
 
 
 def sd_pair(g: Graph, u: int, v: int) -> int:
-    """|(N(u) \\ {v}) symmetric-difference (N(v) \\ {u})|."""
+    """|(N(u) \\ {v}) symmetric-difference (N(v) \\ {u})|.
+
+    Read off the graph's cached neighbour masks: the closed N[u] and the
+    open N(v) differ in exactly one of the bits u, v, so the value is
+    |N[u] ^ N(v)| - 1.
+    """
     if u != v >= 0 <= u < g.n > v:  # distinct, both in [0, n)
-        nu = g.adj[u]
-        # u and v are in the symmetric difference exactly when adjacent
-        return len(nu ^ g.adj[v]) - 2 * (v in nu)
+        m = g.neighbor_masks()
+        return ((m[u] | 1 << u) ^ m[v]).bit_count() - 1
     g._check(u)
     g._check(v)
     raise ValueError(f"sd_pair needs distinct vertices, got {u} twice")

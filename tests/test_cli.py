@@ -83,8 +83,7 @@ class TestPipelines:
 
         gg = load_edge_list(g.read_text())
         if gg.has_edge(0, 1):
-            gg.adj[0].discard(1)
-            gg.adj[1].discard(0)
+            gg.remove_edge(0, 1)
         else:
             gg.add_edge(0, 1)
         g.write_text(save_edge_list(gg))

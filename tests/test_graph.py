@@ -8,16 +8,20 @@ from hypothesis import given, strategies as st
 
 from sdlabel import (
     Graph,
+    check_witness,
     degeneracy,
     gen_gnp,
     gen_rook,
     gen_shift,
     induced_subgraph,
+    is_diverse,
     load_edge_list,
     save_edge_list,
+    sd_pair,
+    sdd_greedy,
 )
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph
 
 
 def brute_degeneracy(g):
@@ -182,6 +186,78 @@ class TestInduced:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             induced_subgraph(path_graph(3), {0, 5})
+
+
+def reference_masks(g):
+    """Neighbour masks built one edge at a time from ``g.edges()``."""
+    masks = [0] * g.n
+    for u, v in g.edges():
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def mask_answers(g, w):
+    """What the mask readers say about g: the masks first, so they are cached."""
+    return (
+        list(g.neighbor_masks()),
+        [sd_pair(g, u, v) for u, v in combinations(range(g.n), 2)],
+        check_witness(g, w),
+        is_diverse(g, range(g.n), 0),
+        sdd_greedy(g, 0),
+    )
+
+
+class TestNeighborMasks:
+    def test_same_object(self):
+        g = gen_gnp(30, 0.3, 1)
+        assert g.neighbor_masks() is g.neighbor_masks()
+
+    @given(small_graphs, st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))))
+    def test_match_reference_across_edits(self, g, toggles):
+        assert list(g.neighbor_masks()) == reference_masks(g)
+        for u, v in toggles:
+            if u == v or max(u, v) >= g.n:
+                continue
+            if g.has_edge(u, v):
+                g.remove_edge(u, v)
+            else:
+                g.add_edge(u, v)
+            assert list(g.neighbor_masks()) == reference_masks(g)
+
+    @pytest.mark.parametrize("edit", ["add_edge", "remove_edge"])
+    def test_edit_drops_cache(self, edit):
+        # C4 is P4 plus the edge (0, 3); every reader changes its answer.
+        p4, c4 = path_graph(4), cycle_graph(4)
+        start, want = (p4, c4) if edit == "add_edge" else (c4, p4)
+        w = sdd_greedy(c4, 0)
+        g = Graph(4, start.edges())
+        before = mask_answers(g, w)
+        getattr(g, edit)(0, 3)
+        assert mask_answers(g, w) == mask_answers(want, w) != before
+
+
+class TestRemoveEdge:
+    def test_removes_both_directions(self):
+        g = complete_graph(3)
+        g.remove_edge(2, 0)
+        assert g.edges() == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "u,v,message",
+        [
+            (0, 3, "vertex 3 out of range [0, 3)"),
+            (-1, 1, "vertex -1 out of range [0, 3)"),
+            (1, 1, "self-loop at vertex 1"),
+            (0, 2, "no edge (0, 2)"),
+        ],
+    )
+    def test_rejects(self, u, v, message):
+        g = path_graph(3)
+        with pytest.raises(ValueError) as err:
+            g.remove_edge(u, v)
+        assert str(err.value) == message
+        assert g.edges() == [(0, 1), (1, 2)]
 
 
 class TestEdgeListFormat:

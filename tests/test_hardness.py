@@ -88,8 +88,7 @@ def reference_validate_sd_reduction(r, d):
 
 def toggle_edge(g, u, v):
     if v in g.adj[u]:
-        g.adj[u].discard(v)
-        g.adj[v].discard(u)
+        g.remove_edge(u, v)
     else:
         g.add_edge(u, v)
 
@@ -269,8 +268,7 @@ class TestSdReduction:
         b = r.meta["bubbles"][0]
         port = b["top_ports"][0]
         outside = next(x for x in r.graph.adj[port] if x not in set(b["cells"].values()))
-        r.graph.adj[port].discard(outside)
-        r.graph.adj[outside].discard(port)
+        r.graph.remove_edge(port, outside)
         ok, issues = validate_sd_reduction(r, 8)
         assert not ok and any("port" in s for s in issues)
 

@@ -68,6 +68,11 @@ def frame_depth():
     return depth
 
 
+def reference_sd_pair(g, u, v):
+    """Set formula for sd(u, v): neighbours of exactly one, minus u and v."""
+    return len((g.adj[u] ^ g.adj[v]) - {u, v})
+
+
 class TestSdPair:
     def test_complete(self):
         g = complete_graph(6)
@@ -89,6 +94,16 @@ class TestSdPair:
     def test_symmetry(self, g):
         for u, v in combinations(range(g.n), 2):
             assert sd_pair(g, u, v) == sd_pair(g, v, u)
+
+    @given(small_graphs)
+    def test_matches_set_reference(self, g):
+        for u, v in combinations(range(g.n), 2):
+            assert sd_pair(g, u, v) == reference_sd_pair(g, u, v)
+
+    def test_corpus_matches_set_reference(self, corpus):
+        for name, g, _ in corpus:
+            for u, v in combinations(range(g.n), 2):
+                assert sd_pair(g, u, v) == reference_sd_pair(g, u, v), (name, u, v)
 
 
 class TestTwinPairs:
