@@ -25,7 +25,6 @@ __all__ = [
     "SignedTreeModel",
     "ResolvedEdge",
     "validate",
-    "pairs_cross",
     "width",
     "sparsity",
     "deepest_pair",
@@ -279,19 +278,6 @@ class ResolvedEdge:
 
     pair: tuple[int, int]
     color: str
-
-
-def pairs_cross(m: SignedTreeModel, p, q) -> bool:
-    """Literal four-clause crossing test between two transversal pairs."""
-    u, v = p
-    a, b = q
-    s = m.is_strict_ancestor
-    return (
-        (s(u, a) and s(b, v))
-        or (s(a, u) and s(v, b))
-        or (s(u, b) and s(a, v))
-        or (s(b, u) and s(v, a))
-    )
 
 
 class _Fenwick:

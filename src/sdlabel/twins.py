@@ -103,7 +103,8 @@ def _has_twin_pair(masks, ids, d: int) -> bool:
     many small sets of the exhaustive oracles.  is_diverse instead cuts
     every mask to S once and tests only the pairs that can be twins, which
     pays for one large S; _greedy_steps keeps its cut masks up to date
-    across eliminations.
+    across eliminations, tests each vertex only against partners above it,
+    and on a re-test only against those an elimination split from it.
     """
     smask = 0
     for u in ids:
@@ -294,10 +295,13 @@ def sdd_greedy(g: Graph, d: int):
     removing x lowers it by exactly 1 when x is adjacent to exactly one of
     u, v.  So a vertex found twinless earlier can only gain a twin among
     the partners some later removal split from it, and only those are
-    re-tested.  Cost: one O(n) scan per vertex the first time it is tested,
-    then per elimination one big-int OR per tested vertex and one bit clear
-    per alive neighbour, and one popcount per split partner per re-test;
-    the all-pairs loop this replaced rescanned every alive pair per step.
+    re-tested.  Each pair is tested from its lower end only, since the
+    scan has just found every lower vertex twinless.  Cost: one popcount
+    per alive vertex above u the first time u is tested, and again after
+    a neighbour of u is eliminated, since that lowers u's sd with almost
+    every alive vertex; one popcount per split partner above u per other
+    re-test; and per elimination one big-int OR per vertex found twinless
+    so far and one bit clear per alive neighbour.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -339,32 +343,39 @@ def sdd_greedy_escalate(g: Graph) -> SddWitness:
 def _greedy_steps(masks, n: int, d: int):
     """The steps of sdd_greedy at level d, or None if the rule gets stuck.
 
-    ``split[u]`` is None until u is first tested.  Once u has been found
-    twinless it holds the partners whose sd with u fell since that test;
-    every twin u can have now is among them, so a re-test reads only those,
-    and the lowest-id twin is the lowest set bit that passes.
+    The scan visits the alive vertices in id order, so when it reaches u
+    every alive w < u has just been found twinless, and none is a twin of
+    u: u's lowest twin is its lowest twin above u.  ``split[u]`` is the set
+    of partners u must test, as a bit mask.  Every twin u can have is in
+    it, so the lowest set bit above u that passes is the lowest twin.  It
+    is -1, every partner, until u is first found twinless, and again once a
+    neighbour of u is eliminated, which lowers u's sd with almost every
+    alive vertex; then u scans the alive list above it.  Otherwise it holds
+    the partners whose sd with u fell since u was found twinless, and a
+    re-test walks its bits above u.  OR-ing a mask into -1 leaves -1, so
+    an elimination ORs N(x) into every u in ``checked`` with no test.
     """
     nbr = list(masks)  # neighbourhoods cut to the alive set
     alive = list(range(n))
     alive_mask = (1 << n) - 1
-    split = [None] * n
-    checked = set()  # alive vertices whose split set is kept
+    split = [-1] * n
+    checked = set()  # alive vertices found twinless at least once
     limit = d + 1  # sd(u, v) = |N[u] ^ N(v)| - 1 inside the alive set
     steps = []
     while len(alive) > 1:
         pick = None
-        for u in alive:
+        for i, u in enumerate(alive):
             todo = split[u]
             if todo == 0:
                 continue
             closed = nbr[u] | (1 << u)
-            if todo is None:
-                for v in alive:
-                    if v != u and (closed ^ nbr[v]).bit_count() <= limit:
+            if todo == -1:
+                for v in alive[i + 1 :]:
+                    if (closed ^ nbr[v]).bit_count() <= limit:
                         pick = (u, v)
                         break
             else:
-                todo &= alive_mask
+                todo &= alive_mask & -(2 << u)  # alive partners above u
                 while todo:
                     low = todo & -todo
                     v = low.bit_length() - 1
@@ -385,14 +396,15 @@ def _greedy_steps(masks, n: int, d: int):
         bit = 1 << x
         alive_mask ^= bit
         near = masks[x]
-        far = alive_mask & ~near  # S \ N[x], taken over the new S
-        for u in checked:
-            split[u] |= far if (near >> u) & 1 else near
         rest = near & alive_mask
         while rest:
             low = rest & -rest
-            nbr[low.bit_length() - 1] ^= bit
+            u = low.bit_length() - 1
+            nbr[u] ^= bit
+            split[u] = -1
             rest ^= low
+        for u in checked:
+            split[u] |= near
     return steps
 
 

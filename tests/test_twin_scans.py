@@ -8,6 +8,8 @@ every step; witnesses and verdicts must match them exactly, since the
 labels of graphs without a given witness depend on the greedy's steps.
 ``sdd_greedy_escalate`` finds its start level from neighbour masks; the
 reference escalation finds it with ``sd_pair`` on every pair.
+``_greedy_steps`` is also compared, level by level, with the incremental
+step loop that tested u against partners below it too.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ from sdlabel import (
     sdd_greedy_escalate,
 )
 from sdlabel.hardness import build_sd_reduction, sd_witness_from_assignment
-from sdlabel.twins import SddWitness, _witness_search
+from sdlabel.twins import SddWitness, _greedy_steps, _witness_search
 
 from conftest import complete_graph
 
@@ -269,3 +271,89 @@ class TestIsDiverse:
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert is_diverse(p4, range(4), 0) and reference_is_diverse(p4, range(4), 0)
         assert not is_diverse(p4, range(4), 1)
+
+
+# The step loop that first-tested every alive partner of u and, on each
+# elimination of x, ORed S \ N[x] into the split set of each neighbour of x.
+def reference_greedy_steps(masks, n: int, d: int):
+    """The steps of sdd_greedy at level d, or None if the rule gets stuck.
+
+    ``split[u]`` is None until u is first tested.  Once u has been found
+    twinless it holds the partners whose sd with u fell since that test;
+    every twin u can have now is among them, so a re-test reads only those,
+    and the lowest-id twin is the lowest set bit that passes.
+    """
+    nbr = list(masks)  # neighbourhoods cut to the alive set
+    alive = list(range(n))
+    alive_mask = (1 << n) - 1
+    split = [None] * n
+    checked = set()  # alive vertices whose split set is kept
+    limit = d + 1  # sd(u, v) = |N[u] ^ N(v)| - 1 inside the alive set
+    steps = []
+    while len(alive) > 1:
+        pick = None
+        for u in alive:
+            todo = split[u]
+            if todo == 0:
+                continue
+            closed = nbr[u] | (1 << u)
+            if todo is None:
+                for v in alive:
+                    if v != u and (closed ^ nbr[v]).bit_count() <= limit:
+                        pick = (u, v)
+                        break
+            else:
+                todo &= alive_mask
+                while todo:
+                    low = todo & -todo
+                    v = low.bit_length() - 1
+                    if (closed ^ nbr[v]).bit_count() <= limit:
+                        pick = (u, v)
+                        break
+                    todo ^= low
+            if pick is not None:
+                break
+            split[u] = 0
+            checked.add(u)
+        if pick is None:
+            return None
+        steps.append(pick)
+        x = pick[0]
+        alive.remove(x)
+        checked.discard(x)
+        bit = 1 << x
+        alive_mask ^= bit
+        near = masks[x]
+        far = alive_mask & ~near  # S \ N[x], taken over the new S
+        for u in checked:
+            split[u] |= far if (near >> u) & 1 else near
+        rest = near & alive_mask
+        while rest:
+            low = rest & -rest
+            nbr[low.bit_length() - 1] ^= bit
+            rest ^= low
+    return steps
+
+
+def step_graphs():
+    for p in (0.04, 0.08, 0.12):
+        for seed in range(1, 11):
+            yield gen_gnp(120, p, seed)
+    yield gen_gnp(300, 0.05, 1)
+    for a in (8, 12, 16):
+        yield gen_rook(a, a)
+    yield from sparse_graphs()
+
+
+class TestGreedySteps:
+    def test_matches_reference_at_every_level(self):
+        stalled = 0
+        for g in step_graphs():
+            masks = g.neighbor_masks()
+            least = least_pair_sd(g)
+            for d in range(sdd_greedy_escalate(g).d + 2):
+                got = _greedy_steps(masks, g.n, d)
+                assert got == reference_greedy_steps(masks, g.n, d), (g.n, g.edges(), d)
+                # the first pass takes a step iff some pair is a d-twin pair
+                stalled += got is None and least <= d
+        assert stalled > 50, stalled
