@@ -20,6 +20,8 @@ exact oracles in :mod:`sdlabel.twins`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from .graph import Graph, gen_rook, induced_subgraph
 from .twins import DiverseSet, SddWitness, check_witness
@@ -29,7 +31,6 @@ __all__ = [
     "ReductionMap",
     "load_cnf",
     "save_cnf",
-    "clause_satisfied",
     "unsat_clauses",
     "sat_oracle",
     "build_bubble",
@@ -116,7 +117,7 @@ def save_cnf(phi: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def clause_satisfied(clause, assignment) -> bool:
+def _clause_satisfied(clause, assignment) -> bool:
     return any(
         assignment[abs(lit) - 1] == (lit > 0) for lit in clause
     )
@@ -127,7 +128,7 @@ def unsat_clauses(phi: CnfFormula, assignment) -> list[int]:
     if len(assignment) != phi.num_vars:
         raise ValueError("assignment length mismatch")
     return [
-        j for j, c in enumerate(phi.clauses) if not clause_satisfied(c, assignment)
+        j for j, c in enumerate(phi.clauses) if not _clause_satisfied(c, assignment)
     ]
 
 
@@ -144,7 +145,7 @@ def sat_oracle(phi: CnfFormula, allow_one_unsat: bool = False,
         assignment = [(bits >> i) & 1 == 1 for i in range(phi.num_vars)]
         misses = 0
         for c in phi.clauses:
-            if not clause_satisfied(c, assignment):
+            if not _clause_satisfied(c, assignment):
                 misses += 1
                 if misses > budget:
                     break
@@ -177,29 +178,57 @@ def save_roles(r: ReductionMap) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _bubble_layout(d: int):
-    """Cells and port cells of a bubble: a w x w rook grid, w = d/2 + 2,
-    with the two rightmost top-row cells removed.  Ports are the top row
-    (d/2 cells, left to right) then the rightmost column (d/2 + 1 cells,
-    top to bottom)."""
+class _Bubble(NamedTuple):
+    """The bubble gadget at one d, shared by every caller (see _bubble).
+
+    Cell k is the k-th kept cell in row-major order.  ``rows[k]`` lists the
+    cells adjacent to cell k in increasing order and ``masks[k]`` holds the
+    same cells as bits; ``heads[e]``, ``tails[e]`` is the e-th grid edge in
+    ``Graph.edges`` order; ``tags[k]`` is cell k as ``"row:col"``.
+    """
+
+    cells: tuple[tuple[int, int], ...]
+    tags: tuple[str, ...]
+    rows: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+    heads: tuple[int, ...]
+    tails: tuple[int, ...]
+    top: tuple[int, ...]
+    col: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _bubble(d: int) -> _Bubble:
+    """The bubble at d, built once per d: a w x w rook grid, w = d/2 + 2,
+    induced on all cells but the two rightmost of the top row.  Ports are
+    the top row (d/2 cells, left to right) then the rightmost column
+    (d/2 + 1 cells, top to bottom)."""
     if d < 8 or d % 2:
         raise ValueError("bubble gadget needs even d >= 8")
     w = d // 2 + 2
     removed = {(0, w - 2), (0, w - 1)}
-    cells = [(r, c) for r in range(w) for c in range(w) if (r, c) not in removed]
-    top_ports = [(0, c) for c in range(w - 2)]
-    col_ports = [(r, w - 1) for r in range(1, w)]
-    return w, cells, top_ports, col_ports
+    cells = tuple((r, c) for r in range(w) for c in range(w) if (r, c) not in removed)
+    g, _ = induced_subgraph(gen_rook(w, w), [r * w + c for r, c in cells])
+    edges = g.edges()
+    index = {cell: k for k, cell in enumerate(cells)}
+    return _Bubble(
+        cells=cells,
+        tags=tuple(f"{r}:{c}" for r, c in cells),
+        rows=tuple(tuple(sorted(nbrs)) for nbrs in g.adj),
+        masks=g.neighbor_masks(),
+        heads=tuple(a for a, _ in edges),
+        tails=tuple(b for _, b in edges),
+        top=tuple(index[0, c] for c in range(w - 2)),
+        col=tuple(index[r, w - 1] for r in range(1, w)),
+    )
 
 
 def build_bubble(d: int):
     """Stand-alone bubble gadget; returns (graph, top_ports, col_ports).
     The graph is the w x w rook grid induced on the kept cells, so vertex
     k is the k-th kept cell in row-major order."""
-    w, cells, top, col = _bubble_layout(d)
-    g, _ = induced_subgraph(gen_rook(w, w), [r * w + c for r, c in cells])
-    index = {cell: k for k, cell in enumerate(cells)}
-    return g, [index[c] for c in top], [index[c] for c in col]
+    b = _bubble(d)
+    return Graph(len(b.cells), zip(b.heads, b.tails)), list(b.top), list(b.col)
 
 
 def _check_formula(meta: dict, phi: CnfFormula) -> None:
@@ -293,21 +322,21 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
 
     next_id = c_base + 2 * m
     bubbles = []
-    _, cells, _, _ = _bubble_layout(d)
-    bubble, top, col = build_bubble(d)
-    grid = bubble.edges()
+    bub = _bubble(d)
+    cells = bub.cells
 
     def attach_bubble(bid: str, members, counts):
         nonlocal next_id
         ids = list(range(next_id, next_id + len(cells)))
-        for cell, v in zip(cells, ids):
-            roles[v] = f"bub:{bid}:{cell[0]}:{cell[1]}"
+        prefix = f"bub:{bid}:"
+        roles.update(zip(ids, map(prefix.__add__, bub.tags)))
         next_id += len(cells)
         # ids[a], not an offset sum: the adjacency sets keep the ints they
         # are given, and one shared int per cell keeps the reduction small.
-        edges.extend((ids[a], ids[b]) for a, b in grid)
-        top_ids = [ids[k] for k in top]
-        col_ids = [ids[k] for k in col]
+        at = ids.__getitem__
+        edges.extend(zip(map(at, bub.heads), map(at, bub.tails)))
+        top_ids = [ids[k] for k in bub.top]
+        col_ids = [ids[k] for k in bub.col]
         ports = top_ids + col_ids
         assert sum(counts) == len(ports) == d + 1
         assert len(counts) == len(members)
@@ -374,54 +403,100 @@ def validate_sd_reduction(r: ReductionMap, d: int) -> tuple[bool, list[str]]:
     exactly d/2 bubble neighbors; y_i at least d/2+1, and at least d once
     i >= 3).  Per bubble, issues come as wrong cell pairs, then ports and
     interiors in cell order, then straddling members.  A ``d`` other than
-    ``meta["d"]`` gives one issue naming both."""
+    ``meta["d"]`` gives one issue naming both.
+
+    A vertex id in ``meta`` outside [0, n) (a cell, a member, a y or a
+    clause vertex) is one issue naming it, in the place of that vertex's
+    checks; a bubble with such a cell gets no cell checks, and such a
+    member is left out of the straddle count."""
     meta = r.meta
     if meta.get("kind") != "sd":
         return False, ["not a diverse-subgraph reduction"]
     if d != meta["d"]:
         return False, [f"reduction was built at d = {meta['d']}, not d = {d}"]
     g = r.graph
-    _, cells, _, _ = _bubble_layout(d)
-    bubble, top, col = build_bubble(d)
-    ports = set(top) | set(col)
+    n, adj = g.n, g.adj
+    masks = g.neighbor_masks()
+    bub = _bubble(d)
+    cells, rows = bub.cells, bub.rows
+    size = len(cells)
+    ports = set(bub.top) | set(bub.col)
+
+    def outside_graph(what, v) -> str:
+        return f"{what} is vertex {v}, out of range [0, {n})"
+
     issues = []
-    bubble_vertices = set()
+    bubble_mask = 0
     for b in meta["bubbles"]:
-        vertices = [b["cells"][cell] for cell in cells]
-        bubble_vertices.update(vertices)
-        slot = {v: k for k, v in enumerate(vertices)}
+        bid = b["id"]
+        vertices = list(map(b["cells"].__getitem__, cells))
+        # On consecutive ids, cell k's neighbours inside the bubble must be
+        # its template row shifted to the bubble's first id: one AND and one
+        # compare per cell.  The sets are compared only to name wrong pairs.
+        base = vertices[0]
+        if vertices == list(range(base, base + size)) and 0 <= base <= n - size:
+            own = ((1 << size) - 1) << base
+        else:
+            base, own, named = -1, 0, len(issues)
+            for cell, v in zip(cells, vertices):
+                if 0 <= v < n:
+                    own |= 1 << v
+                else:
+                    issues.append(outside_graph(f"bubble {bid}: cell {cell}", v))
+            if len(issues) > named:
+                vertices = ()
+        bubble_mask |= own
+        members = [s for s in b["members"] if 0 <= s < n]
+        if len(members) < len(b["members"]):
+            issues.extend(
+                outside_graph(f"bubble {bid}: member", s)
+                for s in b["members"]
+                if not 0 <= s < n
+            )
+        slot = None
         attach = []
         for k, v in enumerate(vertices):
-            inside = {slot[x] for x in g.adj[v] if x in slot}
-            outside = len(g.adj[v]) - len(inside)
-            for j in sorted(inside ^ bubble.adj[k]):
-                if j > k:
-                    issues.append(f"bubble {b['id']}: cells {cells[k]} {cells[j]} wrong")
+            inside = masks[v] & own
+            if base < 0 or inside != bub.masks[k] << base:
+                if slot is None:
+                    slot = {x: j for j, x in enumerate(vertices)}
+                wrong = {slot[x] for x in adj[v] if x in slot}.symmetric_difference(rows[k])
+                for j in sorted(wrong):
+                    if j > k:
+                        issues.append(f"bubble {bid}: cells {cells[k]} {cells[j]} wrong")
+            outside = len(adj[v]) - inside.bit_count()
             if k in ports:
                 if outside != 1:
                     attach.append(
-                        f"bubble {b['id']}: port {cells[k]} has "
+                        f"bubble {bid}: port {cells[k]} has "
                         f"{outside} outside neighbors, wanted 1"
                     )
             elif outside:
-                attach.append(f"bubble {b['id']}: interior {cells[k]} touches outside")
+                attach.append(f"bubble {bid}: interior {cells[k]} touches outside")
         issues.extend(attach)
         straddlers = [
             s
-            for s in b["members"]
-            if not g.adj[s].isdisjoint(b["top_ports"])
-            and not g.adj[s].isdisjoint(b["col_ports"])
+            for s in members
+            if not adj[s].isdisjoint(b["top_ports"])
+            and not adj[s].isdisjoint(b["col_ports"])
         ]
         if len(straddlers) > 1:
-            issues.append(f"bubble {b['id']}: {len(straddlers)} members straddle")
+            issues.append(f"bubble {bid}: {len(straddlers)} members straddle")
     half = d // 2
     for j in range(meta["num_clauses"]):
         for tag in ("vc", "dc"):
-            k = sum(1 for x in g.adj[meta[tag][j]] if x in bubble_vertices)
+            v = meta[tag][j]
+            if not 0 <= v < n:
+                issues.append(outside_graph(f"{tag}:{j + 1}", v))
+                continue
+            k = (masks[v] & bubble_mask).bit_count()
             if k != half:
                 issues.append(f"{tag}:{j + 1} has {k} bubble neighbors, wanted {half}")
     for i, y in enumerate(meta["y_ids"], start=1):
-        k = sum(1 for x in g.adj[y] if x in bubble_vertices)
+        if not 0 <= y < n:
+            issues.append(outside_graph(f"y:{i}", y))
+            continue
+        k = (masks[y] & bubble_mask).bit_count()
         if k < half + 1:
             issues.append(f"y:{i} has {k} bubble neighbors, wanted >= {half + 1}")
         if i >= 3 and k < d:

@@ -131,14 +131,18 @@ def is_diverse(g: Graph, vertices, d: int) -> bool:
     pair is of the third kind, and each u is tested only against the
     vertices above it in N_S(u) and in the S-neighbourhoods of N_S(u).
 
-    Gathering those candidates costs about sum(deg_S(v)**2) over S, so on
-    dense sets it is slower than testing all |S|**2 / 2 pairs would be.
+    Gathering those candidates costs about sum(deg_S(v)**2) n-bit ORs over
+    S, so on dense sets it is slower than testing all |S|**2 / 2 pairs
+    would be.  Each u's candidates are walked on their mask shifted down
+    past u, so a step works on an int that spans only from the current
+    candidate to u's last one, not all n bits: a bubble cell's candidates
+    lie a few dozen ids above it.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
     s = sorted(set(vertices))
-    for u in s:
-        g._check(u)
+    if s and not (0 <= s[0] and s[-1] < g.n):
+        g._check(next(u for u in s if not 0 <= u < g.n))
     if len(s) < 2:
         return False
     masks = g.neighbor_masks()
@@ -160,13 +164,15 @@ def is_diverse(g: Graph, vertices, d: int) -> bool:
         cand = cut[u]
         for w in adj[u]:
             cand |= cut[w]
-        cand &= -(2 << u)  # partners above u only
+        cand >>= u + 1  # partners above u only; bit i is vertex u + 1 + i
         closed = cut[u] | (1 << u)
+        v = u
         while cand:
-            low = cand & -cand
-            if (closed ^ cut[low.bit_length() - 1]).bit_count() <= limit:
+            k = (cand & -cand).bit_length()
+            v += k
+            if (closed ^ cut[v]).bit_count() <= limit:
                 return False
-            cand ^= low
+            cand >>= k
     return True
 
 

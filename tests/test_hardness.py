@@ -406,6 +406,89 @@ class TestValidateAgainstReference:
         assert kinds == {"wrong", "port", "interior", "straddle", "bubble neighbors"}
 
 
+class TestTamperedCellMaps:
+    """Cell maps in ``meta`` that the builder never writes."""
+
+    def test_two_cells_on_one_vertex(self):
+        # The old vertex of (2, 2) leaves the bubble, so its row and column
+        # touch outside.  The reference walks only cell pairs on distinct
+        # vertices and names each vertex by its last cell, so it reports
+        # other pairs; only the exact list is pinned here.
+        r = build_sd_reduction(PHI_SD, 8)
+        cells = r.meta["bubbles"][0]["cells"]
+        cells[(2, 2)] = cells[(2, 3)]
+        wrong = [(0, 2), (1, 2), (2, 0), (2, 1)]
+        wrong = [(c, (2, 2)) for c in wrong]
+        wrong += [((2, 2), c) for c in [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]]
+        touch = [(1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2)]
+        assert validate_sd_reduction(r, 8) == (
+            False,
+            [f"bubble s1: cells {a} {b} wrong" for a, b in wrong]
+            + ["bubble s1: port (0, 2) has 2 outside neighbors, wanted 1"]
+            + [f"bubble s1: interior {c} touches outside" for c in touch[:6]]
+            + ["bubble s1: port (2, 5) has 2 outside neighbors, wanted 1"]
+            + [f"bubble s1: interior {c} touches outside" for c in touch[6:]],
+        )
+
+    def test_bubble_on_non_consecutive_ids(self):
+        # every other cell of s1 swaps its vertex with the same cell of s2,
+        # in the graph and in meta alike: an isomorphic, valid reduction
+        r = build_sd_reduction(PHI_SD, 8)
+        s1, s2 = r.meta["bubbles"][:2]
+        swap = {}
+        for cell in list(s1["cells"])[1::2]:
+            u, v = s1["cells"][cell], s2["cells"][cell]
+            swap[u], swap[v] = v, u
+        r.graph = Graph(r.graph.n, [(swap.get(u, u), swap.get(v, v)) for u, v in r.graph.edges()])
+        for b in (s1, s2):
+            b["cells"] = {cell: swap.get(v, v) for cell, v in b["cells"].items()}
+            b["top_ports"] = [swap.get(v, v) for v in b["top_ports"]]
+            b["col_ports"] = [swap.get(v, v) for v in b["col_ports"]]
+        ids = list(s1["cells"].values())
+        assert ids != list(range(ids[0], ids[0] + len(ids)))
+        assert validate_sd_reduction(r, 8) == reference_validate_sd_reduction(r, 8) == (True, [])
+        cells = s1["cells"]
+        r.graph.add_edge(cells[(1, 0)], cells[(2, 1)])
+        toggle_edge(r.graph, s2["cells"][(3, 1)], s2["cells"][(3, 4)])
+        (member,) = r.graph.adj[cells[(3, 5)]] - set(ids)
+        r.graph.remove_edge(cells[(3, 5)], member)
+        ok, issues = validate_sd_reduction(r, 8)
+        assert (ok, issues) == (
+            False,
+            [
+                "bubble s1: cells (1, 0) (2, 1) wrong",
+                "bubble s1: port (3, 5) has 0 outside neighbors, wanted 1",
+                "bubble s2: cells (3, 1) (3, 4) wrong",
+                "vc:2 has 3 bubble neighbors, wanted 4",
+            ],
+        )
+        assert member == r.meta["vc"][1]
+        ref_ok, ref_issues = reference_validate_sd_reduction(r, 8)
+        assert (ok, sorted(issues)) == (ref_ok, sorted(ref_issues))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 7])
+    def test_ids_outside_the_graph(self, offset):
+        # -1 must not wrap to vertex n - 1, nor n raise IndexError: each
+        # such id is one issue (the reference raises on both)
+        r = build_sd_reduction(PHI_SD, 8)
+        n, meta = r.graph.n, r.meta
+        bad = -1 if offset < 0 else n + offset
+        meta["bubbles"][0]["cells"][(2, 2)] = bad
+        s2 = meta["bubbles"][1]
+        s2["members"] = (bad, *s2["members"][1:])
+        meta["vc"] = (bad, *meta["vc"][1:])
+        meta["y_ids"] = (*meta["y_ids"][:4], bad, *meta["y_ids"][5:])
+        assert validate_sd_reduction(r, 8) == (
+            False,
+            [
+                f"bubble s1: cell (2, 2) is vertex {bad}, out of range [0, {n})",
+                f"bubble s2: member is vertex {bad}, out of range [0, {n})",
+                f"vc:1 is vertex {bad}, out of range [0, {n})",
+                f"y:5 is vertex {bad}, out of range [0, {n})",
+            ],
+        )
+
+
 class TestReductionFingerprints:
     """sha256 of the saved reduction graph and role map, pinned from the
     builders whose bubble grid was a row-or-column loop over the cells."""

@@ -257,6 +257,48 @@ class TestIsDiverse:
             want = (reference_is_diverse(g, kept, 8), reference_is_diverse(g, mutated, 8))
             assert got == want == (True, False), g.n
 
+    def test_relabelled_sd_reduction_certificates(self):
+        # the builder puts a bubble cell's candidates a few dozen ids above
+        # it; a random relabelling spreads them up to bit n - 1
+        rng = random.Random(2020)
+        for g, kept, mutated in sd_reduction_sets():
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            kept_h = [perm[u] for u in kept]
+            mutated_h = [perm[u] for u in mutated]
+            got = (is_diverse(h, kept_h, 8), is_diverse(h, mutated_h, 8))
+            want = (reference_is_diverse(h, kept_h, 8), reference_is_diverse(h, mutated_h, 8))
+            assert got == want == (True, False), g.n
+
+    def test_only_candidate_is_the_top_vertex(self):
+        # hubs 0 and n - 1 are adjacent and share ten neighbours outside S;
+        # inside S they are an edge apart from a cycle on 1..n - 12, so
+        # u = 0 has the one candidate n - 1, and that pair is the only
+        # 1-twin pair
+        n = 140
+        outside = range(n - 11, n - 1)
+        edges = [(0, n - 1), *((h, x) for h in (0, n - 1) for x in outside)]
+        edges += [(u, u + 1) for u in range(1, n - 12)] + [(1, n - 12)]
+        edges += [(x, x - 100) for x in outside]
+        g = Graph(n, edges)
+        s = [0, *range(1, n - 11), n - 1]
+        masks = g.neighbor_masks()
+        smask = sum(1 << x for x in s)
+        cand = masks[0] & smask  # N_S(0) and the S-neighbourhoods of N_S(0)
+        for w in g.adj[0] & set(s):
+            cand |= masks[w] & smask
+        assert cand & ~1 == 1 << (n - 1)
+        twins = [
+            (a, b)
+            for i, a in enumerate(s)
+            for b in s[i + 1 :]
+            if restricted_sd(masks, smask, a, b) <= 1
+        ]
+        assert twins == [(0, n - 1)]
+        assert not is_diverse(g, s, 1) and not reference_is_diverse(g, s, 1)
+        assert is_diverse(g, s[:-1], 1) and reference_is_diverse(g, s[:-1], 1)
+
     def test_small_sets_and_d_zero(self):
         for g in special_graphs():
             sets = [[], *([u] for u in range(g.n)), list(range(g.n))]
