@@ -9,8 +9,9 @@ downstream tests are reproducible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 __all__ = [
     "Graph",
@@ -31,7 +32,9 @@ class Graph:
 
     ``adj`` changes only through ``add_edge`` and ``remove_edge``: both drop
     the neighbour masks that ``neighbor_masks`` keeps, so an edit made
-    straight on ``adj`` would leave them stale.
+    straight on ``adj`` would leave them stale.  Only a generator filling
+    a graph it has just made, before any masks exist, writes ``adj``
+    directly.
     """
 
     __slots__ = ("n", "adj", "_masks")
@@ -167,39 +170,88 @@ def gen_shift(n: int) -> Graph:
 
 
 _M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 state increment
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    """One step of the splitmix64 generator; returns (new_state, output).
+def _lanes(count: int) -> tuple[int, int]:
+    """(ONE, RAMP) over ``count`` 128-bit lanes, built by doubling.
 
-    Constants are the standard ones (Steele/Lea/Flood), so the stream is
-    reproducible in any language from the same 64-bit seed.
+    ONE = sum of 2**(128 j) and RAMP = sum of j * 2**(128 j), for j < count.
     """
-    state = (state + 0x9E3779B97F4A7C15) & _M64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return state, z ^ (z >> 31)
+    one, ramp, have = 1, 0, 1
+    while have < count:
+        ramp |= (ramp + have * one) << 128 * have
+        one |= one << 128 * have
+        have *= 2
+    cut = (1 << 128 * count) - 1
+    return one & cut, ramp & cut
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic for a fixed seed.
 
     Pairs (u, v) with u < v are visited in lexicographic order; the pair is
-    an edge iff the next splitmix64 output is < floor(p * 2**64).
+    an edge iff the next splitmix64 output is < floor(p * 2**64).  The
+    generator starts in state ``seed mod 2**64``.
+
+    The state before pair k's output is ``seed + (k + 1) * GOLDEN`` mod
+    2**64, so the stream needs no sequential loop: the pairs are evaluated
+    n - 1 at a time, each in its own 128-bit lane of one int.  A 64-bit
+    lane value times a 64-bit mixing constant fits in its lane, so each
+    mixing round (shift, xor, mask, multiply, mask) acts on all lanes at
+    once.  Lane j of ``ONE * (2**64 + threshold - 1) - z`` is at least
+    2**64 exactly when z_j < threshold, and never negative, so byte 8 of
+    each lane is the edge bit.  A chunk may span rows and holds about
+    16 n bytes.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"vertex count must be an integer, got {n!r}") from None
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if n < 0:
         raise ValueError("negative vertex count")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
     threshold = int(p * 2.0**64)
     g = Graph(n)
-    state = seed & _M64
-    for u in range(n):
-        for v in range(u + 1, n):
-            state, z = _splitmix64(state)
-            if z < threshold:
-                g.add_edge(u, v)
+    total = n * (n - 1) // 2
+    if not total:
+        return g
+    lanes = n - 1
+    one, ramp = _lanes(lanes)
+    mask = one * _M64
+    step = ((lanes * _GOLDEN) & _M64) * one
+    limit = one * ((1 << 64) + threshold - 1)
+    state = (((seed + _GOLDEN) & _M64) * one + _GOLDEN * ramp) & mask
+    width = 16 * lanes
+    adj = g.adj
+    u, v = 0, 1  # the next pair to place
+    for k in range(0, total, lanes):
+        z = ((state ^ (state >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        z = (z ^ (z >> 31)) & mask
+        hits = (limit - z).to_bytes(width, "little")[8::16]
+        state = (state + step) & mask
+        pos, stop = 0, min(lanes, total - k)
+        while pos < stop:  # one row of pairs (u, v), (u, v + 1), ... at a time
+            end = min(pos + n - v, stop)
+            i = hits.find(1, pos, end)
+            while i >= 0:
+                w = v + i - pos
+                adj[u].add(w)
+                adj[w].add(u)
+                i = hits.find(1, i + 1, end)
+            v += end - pos
+            pos = end
+            if v == n:
+                u += 1
+                v = u + 1
     return g
 
 
@@ -211,45 +263,47 @@ def min_degree_peel(adj) -> tuple[tuple[int, ...], int]:
     Ties go to the smallest vertex id, so every step removes
     ``min(alive, key=lambda v: (deg[v], v))``.  Returns the removal order
     and the largest degree a vertex had when removed, which is the
-    degeneracy.  A lazy heap on (degree, id) keeps one current entry per
-    alive vertex and skips entries made stale by later degree drops:
-    O((N + M) log N) for N vertices and M edges.  Each entry packs
-    (degree, id) into one int, ``degree << s | id`` with ``id < 2**s``,
-    which orders exactly as the tuple and compares faster.  The loop ends
-    with the N-th removal, so the stale entries still in the heap then
-    (over half of all pushes on the balanced pair graphs ``encode`` peels)
-    are never popped.
+    degeneracy.
 
-    A bucket peel (one id bit mask per degree, the next vertex the lowest
-    set bit of the lowest non-empty bucket) gives the same order and is
-    faster on a thousand vertices, but each mask operation costs O(N/64)
-    words, and on the balanced pair graph of ``sdlabel bench`` embed 16384
-    (32,767 nodes) it is over 40% slower than this heap.
+    Each degree has its own list-heap of vertex ids, filled lazily: a
+    vertex whose degree drops is pushed onto its new degree's heap and its
+    old entry is left behind, to be skipped as stale when popped (its
+    degree no longer matches, or it is removed, -1).  Each step pops the
+    least id of the lowest degree whose heap holds a current entry.  After
+    removing a vertex of degree ``cur`` no alive vertex is below
+    ``cur - 1``, so the next scan starts there.  O((N + M) log N) for N
+    vertices and M edges, over heaps far smaller than one heap over all
+    (degree, id) entries.  One id bit mask per degree would give the same
+    order, but each mask operation costs O(N/64) words: on the balanced
+    pair graph of ``sdlabel bench`` embed 16384 (32,767 nodes) that was
+    over 40% slower than a single heap.
     """
     deg = [len(nbrs) for nbrs in adj]
-    s = len(deg).bit_length()
-    mask = (1 << s) - 1
-    heap = [(d << s) | u for u, d in enumerate(deg)]
-    heapify(heap)
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
+    for u, d in enumerate(deg):
+        buckets[d].append(u)  # ids in increasing order: already a heap
     order = []
-    width = 0
-    left = len(deg)
-    while left:
-        key = heappop(heap)
-        u = key & mask
-        d = key >> s
-        if deg[u] != d:  # removed already (-1), or its degree has dropped since
-            continue
+    width = cur = 0
+    for _ in deg:
+        while True:
+            bucket = buckets[cur]
+            if not bucket:
+                cur += 1
+                continue
+            u = heappop(bucket)
+            if deg[u] == cur:
+                break
         deg[u] = -1
-        left -= 1
         order.append(u)
-        if d > width:
-            width = d
+        if cur > width:
+            width = cur
         for w in adj[u]:
             dw = deg[w]
             if dw > 0:  # alive: an alive neighbor of u has degree >= 1
                 deg[w] = dw - 1
-                heappush(heap, ((dw - 1) << s) | w)
+                heappush(buckets[dw - 1], w)
+        if cur:
+            cur -= 1
     return tuple(order), width
 
 

@@ -24,7 +24,6 @@ from sdlabel import (
 )
 from sdlabel.balance import complete_tree, interval_cover, shallowise, width_bound
 from sdlabel.bench import bench_rows
-from sdlabel.graph import _splitmix64
 from sdlabel.hardness import (
     CnfFormula,
     build_sd_reduction,
@@ -40,6 +39,7 @@ from sdlabel.labeling import decode_matrix, label_graph, label_stats, layout_bou
 from sdlabel.model import make_clean, realize, stm_from_witness, validate, width
 
 from test_balance import min_cover_oracle
+from test_graph import splitmix64
 
 
 def report(k, ok, detail=""):
@@ -54,7 +54,7 @@ class _Rng:
         self.state = seed
 
     def next(self):
-        self.state, z = _splitmix64(self.state)
+        self.state, z = splitmix64(self.state)
         return z
 
     def below(self, n):

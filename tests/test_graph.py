@@ -1,5 +1,6 @@
 """Graph core: generators, degeneracy, induced subgraphs, edge-list format."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -33,6 +34,48 @@ def brute_degeneracy(g):
             s = set(sub)
             best = max(best, min(len(g.adj[u] & s) for u in sub))
     return best
+
+
+_M64 = (1 << 64) - 1
+
+
+def splitmix64(state):
+    """One step of splitmix64, one call per word: (new_state, output)."""
+    state = (state + 0x9E3779B97F4A7C15) & _M64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return state, z ^ (z >> 31)
+
+
+def reference_gnp(n, p, seed):
+    """G(n, p) one splitmix64 call per pair, in lexicographic pair order."""
+    threshold = int(p * 2.0**64)
+    g = Graph(n)
+    state = seed & _M64
+    for u in range(n):
+        for v in range(u + 1, n):
+            state, z = splitmix64(state)
+            if z < threshold:
+                g.add_edge(u, v)
+    return g
+
+
+def gnp_sweep_cases():
+    rng = random.Random(2024)
+    seeds = [0, 7, 2**64, 2**64 + 12345, 2**80 + 3, -1, -(2**63), -(2**70) - 9]
+    cases = [
+        (n, p, seed)
+        for n in range(4)
+        for p in (0.0, 1.0, rng.random())
+        for seed in seeds
+    ]
+    # odd n leave a short last chunk of n - 1 pairs: n(n-1)/2 is not a multiple
+    sizes = [5, 6, 17, 64, 65, 129, 200, 255, 299, 300] + rng.sample(range(4, 300), 6)
+    for n in sizes:
+        p = rng.choice([0.0, 1.0, rng.random(), rng.random() * 0.05])
+        cases.append((n, p, rng.choice(seeds + [rng.getrandbits(64)])))
+    return cases
 
 
 small_graphs = st.builds(
@@ -100,12 +143,47 @@ class TestGenerators:
 
     def test_gnp_golden_stream(self):
         # splitmix64 reference values pin the generator across platforms
-        from sdlabel.graph import _splitmix64
-
-        state, z = _splitmix64(0)
+        state, z = splitmix64(0)
         assert z == 0xE220A8397B1DCDAF
-        state, z = _splitmix64(state)
+        state, z = splitmix64(state)
         assert z == 0x6E789E6AA1B965F4
+
+    @pytest.mark.parametrize("n,p,seed", gnp_sweep_cases())
+    def test_gnp_matches_reference(self, n, p, seed):
+        assert gen_gnp(n, p, seed) == reference_gnp(n, p, seed)
+
+    def test_gnp_threshold_is_strict(self):
+        # a word of at most 53 significant bits is a float times 2**64 exactly,
+        # so p = word / 2**64 puts the threshold on that word
+        state, k = 0, 0
+        while True:
+            state, z = splitmix64(state)
+            if z.bit_length() <= 53:
+                break
+            k += 1
+        n = 3
+        while n * (n - 1) // 2 <= k:
+            n += 1
+        u, v = list(combinations(range(n), 2))[k]
+        p = z / 2.0**64
+        assert int(p * 2.0**64) == z
+        g = gen_gnp(n, p, 0)
+        assert g == reference_gnp(n, p, 0) and not g.has_edge(u, v)
+        assert gen_gnp(n, (z + 1) / 2.0**64, 0).has_edge(u, v)
+
+    @pytest.mark.parametrize(
+        "n,seed,message",
+        [
+            (2.0, 1, "vertex count must be an integer, got 2.0"),
+            ("5", 1, "vertex count must be an integer, got '5'"),
+            (5, 1.5, "seed must be an integer, got 1.5"),
+            (5, None, "seed must be an integer, got None"),
+        ],
+    )
+    def test_gnp_rejects_non_integers(self, n, seed, message):
+        with pytest.raises(ValueError) as err:
+            gen_gnp(n, 0.5, seed)
+        assert str(err.value) == message
 
     @given(small_graphs)
     def test_generated_adjacency_symmetric_loopless(self, g):
