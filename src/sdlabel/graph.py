@@ -31,20 +31,22 @@ class Graph:
     """Simple undirected graph: no self-loops, no parallel edges.
 
     ``adj`` changes only through ``add_edge`` and ``remove_edge``: both drop
-    the neighbour masks that ``neighbor_masks`` keeps, so an edit made
-    straight on ``adj`` would leave them stale.  Only a generator filling
+    the neighbour masks that ``neighbor_masks`` keeps, and with them the
+    per-vertex sd floors that the greedy witness search of ``twins``
+    derives from the masks and keeps in ``_floors``, so an edit made
+    straight on ``adj`` would leave both stale.  Only a generator filling
     a graph it has just made, before any masks exist, writes ``adj``
     directly.
     """
 
-    __slots__ = ("n", "adj", "_masks")
+    __slots__ = ("n", "adj", "_masks", "_floors")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError(f"negative vertex count: {n}")
         self.n = n
         self.adj: list[set[int]] = [set() for _ in range(n)]
-        self._masks = None
+        self._masks = self._floors = None
         adj = self.adj
         for u, v in edges:
             if u != v >= 0 <= u < n > v:  # distinct, both in [0, n)
@@ -64,7 +66,7 @@ class Graph:
             raise ValueError(f"self-loop at vertex {u}")
         self.adj[u].add(v)
         self.adj[v].add(u)
-        self._masks = None
+        self._masks = self._floors = None
 
     def remove_edge(self, u: int, v: int) -> None:
         self._check(u)
@@ -75,7 +77,7 @@ class Graph:
             raise ValueError(f"no edge ({u}, {v})")
         self.adj[u].remove(v)
         self.adj[v].remove(u)
-        self._masks = None
+        self._masks = self._floors = None
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)

@@ -15,6 +15,8 @@ validate the constructive machinery in the rest of the library.
 from __future__ import annotations
 
 import heapq
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -67,6 +69,17 @@ class DiverseSet:
     d: int
 
 
+def _check_level(d) -> int:
+    """``d`` as an int, or a one-line ValueError if it is no integer or < 0."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ValueError(f"d must be an integer, got {d!r}") from None
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    return d
+
+
 def sd_pair(g: Graph, u: int, v: int) -> int:
     """|(N(u) \\ {v}) symmetric-difference (N(v) \\ {u})|.
 
@@ -74,9 +87,17 @@ def sd_pair(g: Graph, u: int, v: int) -> int:
     open N(v) differ in exactly one of the bits u, v, so the value is
     |N[u] ^ N(v)| - 1.
     """
-    if u != v >= 0 <= u < g.n > v:  # distinct, both in [0, n)
-        m = g.neighbor_masks()
-        return ((m[u] | 1 << u) ^ m[v]).bit_count() - 1
+    try:
+        if u != v >= 0 <= u < g.n > v:  # distinct, both in [0, n)
+            m = g._masks or g.neighbor_masks()
+            return ((m[u] | 1 << u) ^ m[v]).bit_count() - 1
+    except TypeError:
+        for x in (u, v):
+            try:
+                operator.index(x)
+            except TypeError:
+                raise ValueError(f"vertex must be an integer, got {x!r}") from None
+        raise
     g._check(u)
     g._check(v)
     raise ValueError(f"sd_pair needs distinct vertices, got {u} twice")
@@ -84,8 +105,7 @@ def sd_pair(g: Graph, u: int, v: int) -> int:
 
 def d_twin_pairs(g: Graph, d: int) -> list[tuple[int, int]]:
     """All pairs u < v with sd_pair(g, u, v) <= d, lexicographically sorted."""
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    d = _check_level(d)
     return [
         (u, v)
         for u in range(g.n)
@@ -138,8 +158,7 @@ def is_diverse(g: Graph, vertices, d: int) -> bool:
     candidate to u's last one, not all n bits: a bubble cell's candidates
     lie a few dozen ids above it.
     """
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    d = _check_level(d)
     s = sorted(set(vertices))
     if s and not (0 <= s[0] and s[-1] < g.n):
         g._check(next(u for u in s if not 0 <= u < g.n))
@@ -184,8 +203,7 @@ def find_diverse_subgraph(g: Graph, d: int, limit: int = SUBSET_SEARCH_LIMIT):
     """
     if g.n > limit:
         raise ValueError(f"graph too large for exhaustive search ({g.n} > {limit})")
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    d = _check_level(d)
     masks = g.neighbor_masks()
     verts = range(g.n)
     for size in range(g.n, 1, -1):
@@ -302,20 +320,43 @@ def sdd_greedy(g: Graph, d: int):
     u, v.  So a vertex found twinless earlier can only gain a twin among
     the partners some later removal split from it, and only those are
     re-tested.  Each pair is tested from its lower end only, since the
-    scan has just found every lower vertex twinless.  Cost: one popcount
-    per alive vertex above u the first time u is tested, and again after
-    a neighbour of u is eliminated, since that lowers u's sd with almost
-    every alive vertex; one popcount per split partner above u per other
-    re-test; and per elimination one big-int OR per vertex found twinless
-    so far and one bit clear per alive neighbour.
+    scan has just found every lower vertex twinless.  Before any test of
+    u a lower bound may declare u twinless with no popcount: with
+    floor[u] the least sd in G between u and a vertex above it, e[w] the
+    number of eliminated neighbours of w and emax the largest e[w], every
+    alive v > u has sd(u, v) >= floor[u] - e[u] - emax.  The floors are
+    cached on the graph, next to its neighbour masks, and filled lazily.
+
+    Cost: one popcount per alive vertex above u the first time u is
+    tested, and again after a neighbour of u is eliminated, since that
+    lowers u's sd with almost every alive vertex; one popcount per split
+    partner above u per other re-test; none for a test the bound skips;
+    and per elimination one big-int OR per vertex found twinless so far
+    and one bit clear, plus one count while the bound is kept, per alive
+    neighbour.  A vertex whose floor is not cached yet has its row of G
+    scanned at most once per call, up to its first partner within reach
+    of the bound; the test of u then starts at that partner, so a row
+    that stops early costs one extra popcount.
     """
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    d = _check_level(d)
     n = g.n
     if n < 1:
         raise ValueError("empty graph")
-    steps = _greedy_steps(g.neighbor_masks(), n, d)
+    steps = _greedy_steps(g.neighbor_masks(), n, d, _floors(g))
     return None if steps is None else SddWitness(d, tuple(steps))
+
+
+def _floors(g: Graph) -> list:
+    """The graph's cached sd floors: entry u is the least sd in G between u
+    and a vertex above it (n for the last vertex), or None until known.
+
+    Made on first use, so graphs no greedy search reaches never hold one;
+    ``add_edge`` and ``remove_edge`` drop it with the neighbour masks.
+    """
+    floors = g._floors
+    if floors is None:
+        g._floors = floors = [None] * g.n
+    return floors
 
 
 def sdd_greedy_escalate(g: Graph) -> SddWitness:
@@ -324,7 +365,9 @@ def sdd_greedy_escalate(g: Graph) -> SddWitness:
     The search starts at the graph's least pair sd, a lower bound on the
     sd-degeneracy, and goes up one level at a time; greedy success is not
     known to be monotone in d (sd-degeneracy is not hereditary), so the
-    levels are not bisected.  Every level reuses the same neighbour masks.
+    levels are not bisected.  The all-pairs pass that finds the least
+    pair sd stores each row's minimum as that vertex's sd floor, so every
+    level reuses the same neighbour masks and floors and scans no row.
     """
     n = g.n
     if n < 1:
@@ -332,21 +375,23 @@ def sdd_greedy_escalate(g: Graph) -> SddWitness:
     if n == 1:
         return SddWitness(0, ())
     masks = g.neighbor_masks()
+    floors = _floors(g)
     # sd(u, v) = |N[u] ^ N(v)| - 1: the closed N[u] and the open N(v)
     # differ in exactly one of the bits u, v.
-    least = n
     for u in range(n - 1):
-        closed = masks[u] | (1 << u)
-        least = min(least, min((closed ^ m).bit_count() for m in masks[u + 1 :]))
-    d = least - 1
+        if floors[u] is None:
+            closed = masks[u] | (1 << u)
+            floors[u] = min((closed ^ m).bit_count() for m in masks[u + 1 :]) - 1
+    floors[-1] = n  # no vertex lies above the last one
+    d = min(floors)
     while True:
-        steps = _greedy_steps(masks, n, d)
+        steps = _greedy_steps(masks, n, d, floors)
         if steps is not None:
             return SddWitness(d, tuple(steps))
         d += 1
 
 
-def _greedy_steps(masks, n: int, d: int):
+def _greedy_steps(masks, n: int, d: int, floors=None):
     """The steps of sdd_greedy at level d, or None if the rule gets stuck.
 
     The scan visits the alive vertices in id order, so when it reaches u
@@ -360,6 +405,21 @@ def _greedy_steps(masks, n: int, d: int):
     the partners whose sd with u fell since u was found twinless, and a
     re-test walks its bits above u.  OR-ing a mask into -1 leaves -1, so
     an elimination ORs N(x) into every u in ``checked`` with no test.
+
+    ``floors`` (see _floors) is read and filled in place; without it no
+    bound is used.  Inside the alive set S, sd(u, v) is its value in G
+    minus the eliminated vertices in N(u) ^ N(v) outside {u, v}.  At most
+    e[u] of those are neighbours of u and at most e[v] <= emax neighbours
+    of v, so sd(u, v) >= floor[u] - e[u] - emax for every alive v > u.
+    When that exceeds d, u is twinless now and is marked so with no test.
+    An unknown floor[u] is sought the first time the scan reaches u: u's
+    row of G above u is scanned up to the first v with sd_G(u, v) <=
+    d + e[u] + emax.  A row scanned to its end gives the exact floor, and
+    the bound then holds; otherwise no alive partner below v can be a twin
+    (sd_G(u, w) > d + e[u] + e[w] for each), so u's test starts at v, and
+    the row is not scanned again in this call.  emax never falls, so once
+    no floor exceeds d + emax the bound can pass for no vertex: the call
+    then drops it and stops counting e.
     """
     nbr = list(masks)  # neighbourhoods cut to the alive set
     alive = list(range(n))
@@ -367,6 +427,20 @@ def _greedy_steps(masks, n: int, d: int):
     split = [-1] * n
     checked = set()  # alive vertices found twinless at least once
     limit = d + 1  # sd(u, v) = |N[u] ^ N(v)| - 1 inside the alive set
+    # lo[u]: floor[u] if known; ``unknown``, above every floor, until u's
+    # row is scanned; 0, which the bound never passes, once that scan
+    # stops early or u is eliminated
+    unknown = n + 1
+    e = [0] * n  # eliminated neighbours of each alive vertex
+    emax = 0
+    reach = d  # d + emax: the bound passes for u when lo[u] - e[u] > reach
+    if floors is None:
+        bounded = False
+    else:
+        lo = [unknown if f is None else f for f in floors]
+        lo[-1] = 0  # the last vertex has no partner above it to test
+        top = max(lo)  # no lo[u] rises, so none exceeds top
+        bounded = top > reach
     steps = []
     while len(alive) > 1:
         pick = None
@@ -374,6 +448,28 @@ def _greedy_steps(masks, n: int, d: int):
             todo = split[u]
             if todo == 0:
                 continue
+            if bounded and lo[u] - e[u] > reach:
+                if lo[u] == unknown:  # scan u's row of G, once per call
+                    lo[u] = 0
+                    closed = masks[u] | (1 << u)
+                    cap = reach + e[u] + 1  # sd_G(u, v) <= d + e[u] + emax
+                    best = n + 1
+                    for v in range(u + 1, n):
+                        c = (closed ^ masks[v]).bit_count()
+                        if c < best:
+                            if c <= cap:
+                                # u's test starts at v: move i to just
+                                # before the first alive vertex >= v
+                                if i + 1 < len(alive) and alive[i + 1] < v:
+                                    i = bisect_left(alive, v, i + 1) - 1
+                                break
+                            best = c
+                    else:  # the exact floor, which passes the bound
+                        floors[u] = lo[u] = best - 1
+                if lo[u]:  # 0 only if the scan stopped at a partner in reach
+                    split[u] = 0
+                    checked.add(u)
+                    continue
             closed = nbr[u] | (1 << u)
             if todo == -1:
                 for v in alive[i + 1 :]:
@@ -403,6 +499,24 @@ def _greedy_steps(masks, n: int, d: int):
         alive_mask ^= bit
         near = masks[x]
         rest = near & alive_mask
+        if bounded:  # the same walk, also counting e
+            lo[x] = 0
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                nbr[u] ^= bit
+                split[u] = -1
+                c = e[u] = e[u] + 1
+                if c > emax:
+                    emax = c
+                rest ^= low
+            if emax + d > reach:
+                reach = emax + d
+                # lo[u] - e[u] <= lo[u] and reach never falls, so once no
+                # lo[u] exceeds reach the bound is dropped for this call
+                if top <= reach:
+                    top = max(lo)
+                    bounded = top > reach
         while rest:
             low = rest & -rest
             u = low.bit_length() - 1

@@ -399,3 +399,60 @@ class TestGreedySteps:
                 # the first pass takes a step iff some pair is a d-twin pair
                 stalled += got is None and least <= d
         assert stalled > 50, stalled
+
+
+def brute_floors(g):
+    """Entry u: the least sd_pair(g, u, v) over v > u; n for the last vertex."""
+    return [
+        min((sd_pair(g, u, v) for v in range(u + 1, g.n)), default=g.n)
+        for u in range(g.n)
+    ]
+
+
+class TestFloorBound:
+    """``_greedy_steps`` skips the tests a cached per-vertex sd floor rules
+    out; the steps must stay those of the loop without the bound."""
+
+    def test_shared_floors_match_reference_at_every_level(self):
+        # one floors list per order of levels, shared across the levels, so
+        # floors filled at a high d are reused at a low one and vice versa
+        filled = 0
+        for g in step_graphs():
+            masks = g.neighbor_masks()
+            levels = range(sdd_greedy_escalate(g).d + 2)
+            want = {d: reference_greedy_steps(masks, g.n, d) for d in levels}
+            exact = brute_floors(g)
+            for order in (levels, reversed(levels)):
+                floors = [None] * g.n
+                for d in order:
+                    got = _greedy_steps(masks, g.n, d, floors)
+                    assert got == want[d], (g.n, g.edges(), d)
+                known = [(f, x) for f, x in zip(floors, exact) if f is not None]
+                assert all(f == x for f, x in known), (g.n, g.edges())
+                filled += len(known)
+        assert filled > 1000, filled
+
+    def test_escalation_fills_exact_floors(self):
+        for g in [*random_graphs(), *special_graphs(), *step_graphs()]:
+            w = sdd_greedy_escalate(g)
+            if g.n > 1:
+                assert g._floors == brute_floors(g), (g.n, g.edges())
+                # a second escalation reads the cached floors
+                assert sdd_greedy_escalate(g) == w
+
+    @pytest.mark.parametrize("edit", ["add_edge", "remove_edge"])
+    def test_edit_drops_floors(self, edit):
+        # the edit makes vertices 0 and 1 both universal or both isolated,
+        # so floor[0] falls to 0; a stale floor would skip vertex 0
+        for seed in range(1, 4):
+            g = gen_gnp(120, 0.08, seed)
+            sdd_greedy_escalate(g)  # fills every floor
+            assert g._floors[0] > 0
+            for u in (0, 1):
+                for v in range(g.n):
+                    if v != u and (v in g.adj[u]) == (edit == "remove_edge"):
+                        getattr(g, edit)(u, v)
+            fresh = Graph(g.n, g.edges())
+            for d in range(12):
+                assert sdd_greedy(g, d) == sdd_greedy(fresh, d), (seed, d)
+            assert sdd_greedy_escalate(g) == sdd_greedy_escalate(fresh)

@@ -397,3 +397,26 @@ class TestWitnessFormat:
         with pytest.raises(ValueError) as err:
             load_witness(text)
         assert str(err.value) == message
+
+
+class TestNonIntegerArguments:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: sdd_greedy(g, 2.5),
+            lambda g: d_twin_pairs(g, 2.5),
+            lambda g: is_diverse(g, range(g.n), 2.5),
+            lambda g: find_diverse_subgraph(g, 2.5),
+        ],
+        ids=["sdd_greedy", "d_twin_pairs", "is_diverse", "find_diverse_subgraph"],
+    )
+    def test_level_must_be_an_integer(self, call):
+        # an sdd_greedy witness at d = 2.5 would carry a header load_witness
+        # rejects; is_diverse would answer as if d were 2
+        with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.5$"):
+            call(gen_gnp(16, 0.3, 1))
+
+    @pytest.mark.parametrize("u,v,bad", [(1.0, 2, "1.0"), (1, 2.0, "2.0"), ("1", 2, "'1'")])
+    def test_sd_pair_vertex_must_be_an_integer(self, u, v, bad):
+        with pytest.raises(ValueError, match=rf"^vertex must be an integer, got {bad}$"):
+            sd_pair(gen_gnp(16, 0.3, 1), u, v)
