@@ -34,26 +34,36 @@ class Graph:
     the neighbour masks that ``neighbor_masks`` keeps, and with them the
     per-vertex sd floors that the greedy witness search of ``twins``
     derives from the masks and keeps in ``_floors``, so an edit made
-    straight on ``adj`` would leave both stale.  Only a generator filling
-    a graph it has just made, before any masks exist, writes ``adj``
-    directly.
+    straight on ``adj`` would leave both stale.  Only a builder filling a
+    graph it has just made, before any masks exist, writes ``adj``
+    directly; such a builder may also seed ``_masks``, provided it fills
+    them from the same source as ``adj`` (``hardness.build_sd_reduction``
+    stamps both from one cached bubble template).
     """
 
     __slots__ = ("n", "adj", "_masks", "_floors")
 
     def __init__(self, n: int, edges=()):
+        try:
+            adj = [set() for _ in range(n)]
+        except TypeError:
+            raise ValueError(f"vertex count must be an integer, got {n!r}") from None
         if n < 0:
             raise ValueError(f"negative vertex count: {n}")
         self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
+        self.adj: list[set[int]] = adj
         self._masks = self._floors = None
-        adj = self.adj
-        for u, v in edges:
-            if u != v >= 0 <= u < n > v:  # distinct, both in [0, n)
-                adj[u].add(v)
-                adj[v].add(u)
-            else:
-                self.add_edge(u, v)  # raises the matching error
+        u = v = 0  # bound for the handler even if no edge unpacks
+        try:
+            for u, v in edges:
+                if u != v >= 0 <= u < n > v:  # distinct, both in [0, n)
+                    adj[u].add(v)
+                    adj[v].add(u)
+                else:
+                    self.add_edge(u, v)  # raises the matching error
+        except TypeError:
+            reject_non_integer(u, v)
+            raise
 
     def _check(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -106,13 +116,7 @@ class Graph:
         """
         masks = self._masks
         if masks is None:
-            built = []
-            for nbrs in self.adj:
-                m = 0
-                for v in nbrs:
-                    m |= 1 << v
-                built.append(m)
-            self._masks = masks = tuple(built)
+            self._masks = masks = tuple(bit_masks(self.adj))
         return masks
 
     def __eq__(self, other) -> bool:
@@ -122,6 +126,28 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def bit_masks(sets) -> list[int]:
+    """One int per set of ``sets``, with bit v set iff v is in the set."""
+    built = []
+    for nbrs in sets:
+        m = 0
+        for v in nbrs:
+            m |= 1 << v
+        built.append(m)
+    return built
+
+
+def reject_non_integer(*values) -> None:
+    """Raise a one-line ValueError naming the first of ``values`` that is
+    not an integer; return if all are.  Callers run it only once a
+    TypeError has been raised, so their checked path costs nothing."""
+    for x in values:
+        try:
+            operator.index(x)
+        except TypeError:
+            raise ValueError(f"vertex must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)

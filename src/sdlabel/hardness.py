@@ -19,11 +19,12 @@ exact oracles in :mod:`sdlabel.twins`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graph import Graph, gen_rook, induced_subgraph
+from .graph import Graph, bit_masks, gen_rook, induced_subgraph
 from .twins import DiverseSet, SddWitness, check_witness
 
 __all__ = [
@@ -183,41 +184,50 @@ class _Bubble(NamedTuple):
 
     Cell k is the k-th kept cell in row-major order.  ``rows[k]`` lists the
     cells adjacent to cell k in increasing order and ``masks[k]`` holds the
-    same cells as bits; ``heads[e]``, ``tails[e]`` is the e-th grid edge in
-    ``Graph.edges`` order; ``tags[k]`` is cell k as ``"row:col"``.
+    same cells as bits; ``tags[k]`` is cell k as ``"row:col"``; ``top`` and
+    ``col`` are the port cells.  ``build_sd_reduction`` stamps every bubble
+    from ``rows`` (adjacency sets) and ``masks`` (shifted to the bubble's
+    first id), and ``validate_sd_reduction`` checks each cell against them.
     """
 
     cells: tuple[tuple[int, int], ...]
     tags: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
-    heads: tuple[int, ...]
-    tails: tuple[int, ...]
     top: tuple[int, ...]
     col: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+def _even_level(d, what: str) -> int:
+    """``d`` as an int, or a one-line ValueError unless it is an even
+    integer >= 8."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ValueError(f"d must be an integer, got {d!r}") from None
+    if d < 8 or d % 2:
+        raise ValueError(f"{what} needs even d >= 8")
+    return d
+
+
+@lru_cache(maxsize=None, typed=True)
 def _bubble(d: int) -> _Bubble:
     """The bubble at d, built once per d: a w x w rook grid, w = d/2 + 2,
     induced on all cells but the two rightmost of the top row.  Ports are
     the top row (d/2 cells, left to right) then the rightmost column
-    (d/2 + 1 cells, top to bottom)."""
-    if d < 8 or d % 2:
-        raise ValueError("bubble gadget needs even d >= 8")
+    (d/2 + 1 cells, top to bottom).  The cache is typed, so d = 8.0 is
+    checked (and rejected) rather than served the entry of d = 8."""
+    d = _even_level(d, "bubble gadget")
     w = d // 2 + 2
     removed = {(0, w - 2), (0, w - 1)}
     cells = tuple((r, c) for r in range(w) for c in range(w) if (r, c) not in removed)
     g, _ = induced_subgraph(gen_rook(w, w), [r * w + c for r, c in cells])
-    edges = g.edges()
     index = {cell: k for k, cell in enumerate(cells)}
     return _Bubble(
         cells=cells,
         tags=tuple(f"{r}:{c}" for r, c in cells),
         rows=tuple(tuple(sorted(nbrs)) for nbrs in g.adj),
         masks=g.neighbor_masks(),
-        heads=tuple(a for a, _ in edges),
-        tails=tuple(b for _, b in edges),
         top=tuple(index[0, c] for c in range(w - 2)),
         col=tuple(index[r, w - 1] for r in range(1, w)),
     )
@@ -228,7 +238,8 @@ def build_bubble(d: int):
     The graph is the w x w rook grid induced on the kept cells, so vertex
     k is the k-th kept cell in row-major order."""
     b = _bubble(d)
-    return Graph(len(b.cells), zip(b.heads, b.tails)), list(b.top), list(b.col)
+    edges = [(k, j) for k, row in enumerate(b.rows) for j in row if k < j]
+    return Graph(len(b.cells), edges), list(b.top), list(b.col)
 
 
 def _check_formula(meta: dict, phi: CnfFormula) -> None:
@@ -236,9 +247,10 @@ def _check_formula(meta: dict, phi: CnfFormula) -> None:
         raise ValueError("formula differs from the one the reduction was built from")
 
 
-def _check_sd_shape(phi: CnfFormula, d: int) -> None:
-    if d < 8 or d % 2:
-        raise ValueError("reduction needs even d >= 8")
+def _check_sd_shape(phi: CnfFormula, d) -> int:
+    """``d`` as an int, or a one-line ValueError if ``phi`` or ``d`` does
+    not fit the reduction."""
+    d = _even_level(d, "reduction")
     if len(phi.clauses) < 3:
         raise ValueError("need at least three clauses")
     if phi.num_vars < 2:
@@ -252,6 +264,7 @@ def _check_sd_shape(phi: CnfFormula, d: int) -> None:
         occ = phi.occurrences(v)
         if not 1 <= occ <= 3:
             raise ValueError(f"variable {v} occurs {occ} times, need 1..3")
+    return d
 
 
 def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
@@ -262,8 +275,17 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
     pairs v_c, d_c; then the bubbles.  Bubbles are neatly attached with
     ports consumed left-to-right along the top row, then top-to-bottom
     along the rightmost column.
+
+    Only the gadget and port edges go through ``Graph``.  Each bubble is
+    then stamped from the cached template ``_bubble(d)``: a cell's
+    adjacency set gets its template row mapped to the bubble's ids, and its
+    neighbour mask is its template mask shifted to the bubble's first id,
+    with the port's member bit ORed in.  The graph so comes with its
+    ``neighbor_masks`` already built (about n**2 / 8 bytes), and
+    ``validate_sd_reduction`` and ``twins.is_diverse`` read them as they
+    are.
     """
-    _check_sd_shape(phi, d)
+    d = _check_sd_shape(phi, d)
     nv, m = phi.num_vars, len(phi.clauses)
     t = d // 2 + 1
     nt = nv * t
@@ -320,10 +342,13 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
         for b in first2:
             edges.append((a, b))
 
-    next_id = c_base + 2 * m
+    next_id = first_cell = c_base + 2 * m
     bubbles = []
     bub = _bubble(d)
     cells = bub.cells
+    port_cells = bub.top + bub.col
+    stamps = []  # each bubble's cell ids, in cell order
+    cell_masks = []  # every cell's neighbour mask, in id order
 
     def attach_bubble(bid: str, members, counts):
         nonlocal next_id
@@ -331,20 +356,19 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
         prefix = f"bub:{bid}:"
         roles.update(zip(ids, map(prefix.__add__, bub.tags)))
         next_id += len(cells)
-        # ids[a], not an offset sum: the adjacency sets keep the ints they
-        # are given, and one shared int per cell keeps the reduction small.
-        at = ids.__getitem__
-        edges.extend(zip(map(at, bub.heads), map(at, bub.tails)))
+        stamps.append(ids)
+        stamp = [mask << ids[0] for mask in bub.masks]
         top_ids = [ids[k] for k in bub.top]
         col_ids = [ids[k] for k in bub.col]
-        ports = top_ids + col_ids
-        assert sum(counts) == len(ports) == d + 1
+        assert sum(counts) == len(port_cells) == d + 1
         assert len(counts) == len(members)
         pos = 0
         for member, cnt in zip(members, counts):
-            for port in ports[pos : pos + cnt]:
-                edges.append((member, port))
+            for k in port_cells[pos : pos + cnt]:
+                edges.append((member, ids[k]))
+                stamp[k] |= 1 << member
             pos += cnt
+        cell_masks.extend(stamp)
         bubbles.append(
             {
                 "id": bid,
@@ -377,7 +401,18 @@ def build_sd_reduction(phi: CnfFormula, d: int) -> ReductionMap:
             (1, d // 2, d // 2),
         )
 
+    # The edges so far are the gadgets and the ports; each bubble's grid is
+    # stamped from the template, and the masks are seeded to match.
     g = Graph(next_id, edges)
+    adj = g.adj
+    rows = bub.rows
+    for ids in stamps:
+        # ids[a], not an offset sum: the adjacency sets keep the ints they
+        # are given, and one shared int per cell keeps the reduction small.
+        at = ids.__getitem__
+        for v, row in zip(ids, rows):
+            adj[v].update(map(at, row))
+    g._masks = tuple(bit_masks(adj[:first_cell]) + cell_masks)
     meta = {
         "kind": "sd",
         "d": d,

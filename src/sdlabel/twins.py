@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph
+from .graph import Graph, reject_non_integer
 
 __all__ = [
     "SddWitness",
@@ -92,11 +92,7 @@ def sd_pair(g: Graph, u: int, v: int) -> int:
             m = g._masks or g.neighbor_masks()
             return ((m[u] | 1 << u) ^ m[v]).bit_count() - 1
     except TypeError:
-        for x in (u, v):
-            try:
-                operator.index(x)
-            except TypeError:
-                raise ValueError(f"vertex must be an integer, got {x!r}") from None
+        reject_non_integer(u, v)
         raise
     g._check(u)
     g._check(v)
@@ -166,8 +162,12 @@ def is_diverse(g: Graph, vertices, d: int) -> bool:
         return False
     masks = g.neighbor_masks()
     smask = 0
-    for u in s:
-        smask |= 1 << u
+    try:
+        for u in s:
+            smask |= 1 << u
+    except TypeError:
+        reject_non_integer(u)
+        raise
     # cut[v] stays 0 for v outside S, so OR-ing in any neighbour's cut is safe
     cut = [0] * g.n
     for u in s:

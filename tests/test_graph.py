@@ -315,6 +315,20 @@ class TestNeighborMasks:
         assert mask_answers(g, w) == mask_answers(want, w) != before
 
 
+class TestConstructorRejects:
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            (2.5, (), "vertex count must be an integer, got 2.5"),
+            (3, [(0, 1.0)], "vertex must be an integer, got 1.0"),
+        ],
+    )
+    def test_non_integers(self, n, edges, message):
+        with pytest.raises(ValueError) as err:
+            Graph(n, edges)
+        assert str(err.value) == message
+
+
 class TestRemoveEdge:
     def test_removes_both_directions(self):
         g = complete_graph(3)

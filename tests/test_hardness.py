@@ -24,6 +24,8 @@ from sdlabel.hardness import (
     validate_sd_reduction,
 )
 
+from test_acceptance import _Rng, _gen_sd_formula
+
 PHI_SD = CnfFormula(4, [(1, -3, 4), (-2, 3, -4), (-1, 2)])
 PHI_SDD = CnfFormula(4, [(1, 2, 3), (-1, -2, 4), (2, -3, -4)])
 
@@ -515,6 +517,62 @@ class TestReductionFingerprints:
         r = build()
         text = save_edge_list(r.graph) + save_roles(r)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def stamped_formulas():
+    """PHI_SD, the first four ``test_08`` acceptance formulas, and four
+    more from the same generator on another seed."""
+    return [
+        PHI_SD,
+        *(_gen_sd_formula(rng)[0] for rng in (_Rng(2024), _Rng(2302)) for _ in range(4)),
+    ]
+
+
+class TestStampedGraph:
+    """build_sd_reduction stamps each bubble's adjacency and neighbour
+    masks from the cached template.  A fresh reduction must equal the graph
+    rebuilt edge by edge, masks included, and every bubble's grid must be
+    the template's, read from ``adj`` alone (validate_sd_reduction compares
+    the masks against that template, so it cannot see a stamping fault in
+    the sets)."""
+
+    @pytest.mark.parametrize("d", [8, 10, 12])
+    def test_matches_edge_by_edge_build(self, d):
+        template, _, _ = build_bubble(d)
+        for phi in stamped_formulas():
+            r = build_sd_reduction(phi, d)
+            g = r.graph
+            rebuilt = Graph(g.n, g.edges())
+            assert g._masks == rebuilt.neighbor_masks()
+            assert rebuilt == g
+            for b in r.meta["bubbles"]:
+                ids = [b["cells"][cell] for cell in sorted(b["cells"])]
+                own = set(ids)
+                for k, v in enumerate(ids):
+                    assert g.adj[v] & own == {ids[j] for j in template.adj[k]}
+
+    def test_op_reads_the_seeded_masks(self):
+        phi, d = PHI_SD, 8
+        r = build_sd_reduction(phi, d)
+        masks = r.graph._masks
+        assert masks is not None
+        assert validate_sd_reduction(r, d) == (True, [])
+        kept = sd_witness_from_assignment(r, phi, sat_oracle(phi))
+        assert is_diverse(r.graph, kept.vertices, d)
+        assert r.graph.neighbor_masks() is masks
+
+
+class TestNonIntegerLevels:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: build_sd_reduction(PHI_SD, 8.0), lambda: build_bubble(8.0)],
+        ids=["build_sd_reduction", "build_bubble"],
+    )
+    def test_d_must_be_an_integer(self, call):
+        build_bubble(8)  # a cached d = 8 template must not answer d = 8.0
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "d must be an integer, got 8.0"
 
 
 class TestDeterminism:

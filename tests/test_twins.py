@@ -416,6 +416,10 @@ class TestNonIntegerArguments:
         with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.5$"):
             call(gen_gnp(16, 0.3, 1))
 
+    def test_is_diverse_vertex_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^vertex must be an integer, got 1\.5$"):
+            is_diverse(gen_gnp(16, 0.3, 1), [0, 1.5], 1)
+
     @pytest.mark.parametrize("u,v,bad", [(1.0, 2, "1.0"), (1, 2.0, "2.0"), ("1", 2, "'1'")])
     def test_sd_pair_vertex_must_be_an_integer(self, u, v, bad):
         with pytest.raises(ValueError, match=rf"^vertex must be an integer, got {bad}$"):
