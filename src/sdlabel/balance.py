@@ -80,7 +80,7 @@ def interval_cover(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(left + right[::-1])
 
 
-def _covers(m: SignedTreeModel, tree: SignedTreeModel) -> list[list[int]]:
+def _covers(m: SignedTreeModel, tree: SignedTreeModel) -> list[tuple[int, ...]]:
     """Per node of ``m``, ``interval_cover`` of its leaf interval on
     ``tree``, the complete tree on m's leaves, built from the children's
     covers.
@@ -90,11 +90,13 @@ def _covers(m: SignedTreeModel, tree: SignedTreeModel) -> list[list[int]]:
     pushed on a stack that replaces its top two entries by their parent i
     whenever they are the siblings 2i + 1 and 2i + 2.  No two neighbours
     on the stack are siblings, and a cover with no neighbouring siblings
-    is the one made of maximal nodes.
+    is the one made of maximal nodes.  Each cover is frozen into a tuple:
+    the cyclic garbage collector untracks a tuple of ints, so the covers
+    of a large model are not walked by every full collection.
     """
     cover: list = [None] * m.n_nodes
     for leaf, at in zip(m.leaf_order(), tree.leaf_order()):
-        cover[leaf] = [at]
+        cover[leaf] = (at,)
     preorder = [0] * m.n_nodes
     for node, t in enumerate(m.tin):
         preorder[t] = node
@@ -102,12 +104,12 @@ def _covers(m: SignedTreeModel, tree: SignedTreeModel) -> list[list[int]]:
     for node in reversed(preorder):  # children before their parent
         ch = children[node]
         if ch is not None:
-            stack = cover[ch[0]][:]
+            stack = list(cover[ch[0]])
             for x in cover[ch[1]]:
                 while stack and stack[-1] & 1 and stack[-1] + 1 == x:
                     x = stack.pop() >> 1
                 stack.append(x)
-            cover[node] = stack
+            cover[node] = tuple(stack)
     return cover
 
 

@@ -53,9 +53,13 @@ class Graph:
         self.n = n
         self.adj: list[set[int]] = adj
         self._masks = self._floors = None
-        u = v = 0  # bound for the handler even if no edge unpacks
+        u = v = 0  # bound for the handler even if edges is not iterable
         try:
-            for u, v in edges:
+            for edge in edges:
+                try:
+                    u, v = edge
+                except (TypeError, ValueError):
+                    raise ValueError(f"edge {edge!r} is not a pair of vertices") from None
                 if u != v >= 0 <= u < n > v:  # distinct, both in [0, n)
                     adj[u].add(v)
                     adj[v].add(u)
@@ -66,6 +70,8 @@ class Graph:
             raise
 
     def _check(self, u: int) -> None:
+        if type(u) is not int:
+            reject_non_integer(u)
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range [0, {self.n})")
 
@@ -141,8 +147,9 @@ def bit_masks(sets) -> list[int]:
 
 def reject_non_integer(*values) -> None:
     """Raise a one-line ValueError naming the first of ``values`` that is
-    not an integer; return if all are.  Callers run it only once a
-    TypeError has been raised, so their checked path costs nothing."""
+    not an integer; return if all are.  Callers run it only off their fast
+    path: once a TypeError has been raised, or for a value whose type is
+    not exactly ``int``."""
     for x in values:
         try:
             operator.index(x)

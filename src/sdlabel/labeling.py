@@ -94,11 +94,15 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     """Labels for every vertex of a clean model, keyed by graph vertex.
 
     Each pair goes to the endpoint with the smaller rank in the min-degree
-    peel of the pair graph.  Nodes are then visited in preorder, and each
-    node extends its parent's two prefixes: the path ids, and the blocks
-    (owned-pair count, then its entries).  A leaf's label is the preamble,
-    its path length and its two prefixes, so each block is built once and
-    shared by every label whose root path passes through the node.
+    peel of the pair graph.  Each owner's entries are folded into one int
+    as the other endpoints are visited in id order, so the per-node state
+    is an int and a count, which the cyclic garbage collector does not
+    track, and no per-node list is sorted.  Nodes are then visited in
+    preorder, and each node extends its parent's two prefixes: the path
+    ids, and the blocks (owned-pair count, then its entries).  A leaf's
+    label is the preamble, its path length and its two prefixes, so each
+    block is built once and shared by every label whose root path passes
+    through the node.
 
     Raises ``ValueError`` on a model that is not clean, whose leaf
     vertices are not 0..n-1 each once, or that has a pair in both colors.
@@ -116,11 +120,17 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     h_max = max(depth) + 1
     if h_max > (1 << DEPTH_BITS) - 1:
         raise ValueError(f"tree depth {h_max} does not fit the 8-bit path length")
-    adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for pairs in (m.green, m.blue):
-        for a, b in pairs:
-            adj[a].append(b)
-            adj[b].append(a)
+    # adj[x] holds x's green partners, then, from split[x] on, its blue ones.
+    adj: list = [[] for _ in range(n_nodes)]
+    for a, b in m.green:
+        adj[a].append(b)
+        adj[b].append(a)
+    split = [len(nbrs) for nbrs in adj]
+    for a, b in m.blue:
+        adj[a].append(b)
+        adj[b].append(a)
+    # Frozen: the collector untracks a tuple of ints, never a list.
+    adj = [tuple(nbrs) for nbrs in adj]
     order, width = min_degree_peel(adj)
     id_bits = max(1, (n_nodes - 1).bit_length())
     for limit, value, what in (
@@ -133,18 +143,23 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     rank = [0] * n_nodes
     for r, u in enumerate(order):
         rank[u] = r
-    # owned[x] holds (other << 1) | blue for each pair x owns; sorted per
-    # node, this is the order of the pairs (a, b), a < b, through x.
-    owned: list[list[int]] = [[] for _ in range(n_nodes)]
-    for pairs, blue in ((m.green, 0), (m.blue, 1)):
-        for a, b in pairs:
-            if rank[a] < rank[b]:
-                owned[a].append((b << 1) | blue)
-            else:
-                owned[b].append((a << 1) | blue)
-    cb = width.bit_length()  # ceil(log2(W+1))
+    # Per node: how many pairs it owns, and their entries (other << 1) | blue
+    # folded into one int.  The other endpoints are visited in increasing
+    # id order, so each owner's entries arrive sorted, in the order of its
+    # pairs (a, b), a < b.
     entry_bits = id_bits + 1
+    counts = [0] * n_nodes
+    entries = [0] * n_nodes
+    for other, nbrs in enumerate(adj):
+        r, s = rank[other], split[other]
+        entry = other << 1
+        for i, x in enumerate(nbrs):
+            if rank[x] < r:
+                counts[x] += 1
+                entries[x] = (entries[x] << entry_bits) | entry | (i >= s)
+    cb = width.bit_length()  # ceil(log2(W+1))
     preamble = (n << 32) | (id_bits << 16) | width
+    bound = [layout_bound(n, id_bits, width, h) for h in range(h_max + 1)]
     parent, leaf_vertex = m.parent, m.leaf_vertex
     preorder = [0] * n_nodes
     for node, t in enumerate(m.tin):
@@ -156,13 +171,11 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     block_bits = [0] * n_nodes
     labels = {}
     for node in preorder:  # leaves come left to right
-        entries = owned[node]
-        assert len(entries) <= width
-        entries.sort()
-        value = len(entries)
-        for entry in entries:
-            value = (value << entry_bits) | entry
-        bits = cb + len(entries) * entry_bits
+        count = counts[node]
+        assert count <= width
+        bits = count * entry_bits
+        value = (count << bits) | entries[node]
+        bits += cb
         up = parent[node]
         if up < 0:
             path_ids[node], blocks[node], block_bits[node] = node, value, bits
@@ -177,7 +190,7 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
         path_bits = h * id_bits
         all_block_bits = block_bits[node]
         nbits = PREAMBLE_BITS + DEPTH_BITS + path_bits + all_block_bits
-        assert nbits <= layout_bound(n, id_bits, width, h)
+        assert nbits <= bound[h]
         acc = (preamble << DEPTH_BITS) | h
         acc = (((acc << path_bits) | path_ids[node]) << all_block_bits) | blocks[node]
         pad = (-nbits) % 8

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, degeneracy
-from .twins import SddWitness, check_witness
+from .twins import SddWitness
 
 __all__ = [
     "SignedTreeModel",
@@ -547,12 +547,19 @@ def stm_from_witness(g: Graph, w: SddWitness) -> SignedTreeModel:
     neighbors, green pairs to the roots of u's private neighbors, and then
     merges the two trees (u's root becoming the left child).  The replay
     runs on neighbor bit masks and a mask of surviving vertices, so a
-    step's private neighbors, at most w.d of each, are the bits of two
-    masks cut to the survivors other than u.
+    step's private neighbors are the bits of two masks cut to the
+    survivors other than u.
+
+    The replay verifies the witness as it goes, with the checks of
+    ``twins.check_witness``: n - 1 steps, each over two distinct vertices
+    in range that are both alive, whose private neighbors, the sd of the
+    pair among the survivors, number at most w.d.  A witness it rejects
+    raises ``ValueError("witness rejected by check_witness")``.
     """
-    if not check_witness(g, w):
-        raise ValueError("witness rejected by check_witness")
     n = g.n
+    d = w.d
+    if n < 1 or d < 0 or len(w.steps) != n - 1:
+        raise ValueError("witness rejected by check_witness")
     children: list = [None] * n
     leaf_vertex = list(range(n))
     root_of = list(range(n))
@@ -561,11 +568,15 @@ def stm_from_witness(g: Graph, w: SddWitness) -> SignedTreeModel:
     green = set()
     blue = set()
     for e, p in w.steps:
+        if e == p or not (0 <= e < n and 0 <= p < n and alive >> e & alive >> p & 1):
+            raise ValueError("witness rejected by check_witness")
         re, rp = root_of[e], root_of[p]
         me, mp = masks[e], masks[p]
         (blue if me >> p & 1 else green).add((re, rp) if re < rp else (rp, re))
         alive ^= 1 << e
         diff = (me ^ mp) & (alive ^ (1 << p))  # p survives the step
+        if diff.bit_count() > d:
+            raise ValueError("witness rejected by check_witness")
         if diff:
             for dst, private in ((blue, diff & me), (green, diff & mp)):
                 while private:

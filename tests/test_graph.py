@@ -328,6 +328,58 @@ class TestConstructorRejects:
             Graph(n, edges)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([5], "edge 5 is not a pair of vertices"),
+            ([(0, 1), (0, 1, 2)], "edge (0, 1, 2) is not a pair of vertices"),
+            ([(0,)], "edge (0,) is not a pair of vertices"),
+            ([None], "edge None is not a pair of vertices"),
+        ],
+    )
+    def test_edge_not_a_pair(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            Graph(3, edges)
+        assert str(err.value) == message
+
+
+class TestNonIntegerVertices:
+    """Every vertex argument is checked before the graph changes."""
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None, (1,)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, x: g.add_edge(0, x),
+            lambda g, x: g.add_edge(x, 2),
+            lambda g, x: g.remove_edge(0, x),
+            lambda g, x: g.remove_edge(x, 0),
+            lambda g, x: g.has_edge(0, x),
+            lambda g, x: g.has_edge(x, 1),
+            lambda g, x: g.degree(x),
+        ],
+    )
+    def test_rejected_before_any_change(self, call, bad):
+        g = Graph(3, [(0, 1)])
+        masks = g.neighbor_masks()
+        with pytest.raises(ValueError) as err:
+            call(g, bad)
+        assert str(err.value) == f"vertex must be an integer, got {bad!r}"
+        assert g.adj == [{1}, {0}, set()]
+        assert g.neighbor_masks() is masks
+
+    def test_add_float_leaves_no_edge(self):
+        g = Graph(3)
+        with pytest.raises(ValueError):
+            g.add_edge(0, 1.5)
+        assert g.adj == [set(), set(), set()]
+        assert not g.has_edge(0, 1)
+
+    def test_integer_likes_still_accepted(self):
+        g = Graph(3)
+        g.add_edge(True, 2)
+        assert g.has_edge(1, 2) and g.degree(True) == 1
+
 
 class TestRemoveEdge:
     def test_removes_both_directions(self):

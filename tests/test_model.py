@@ -453,6 +453,35 @@ class TestFromWitness:
         with pytest.raises(ValueError, match="witness"):
             stm_from_witness(path_graph(4), SddWitness(0, ((0, 1), (1, 2), (2, 3))))
 
+    def test_rejects_what_check_witness_rejects(self, corpus):
+        """The replay verifies as it goes: each single corruption of a
+        corpus witness fails check_witness and raises its message."""
+        tried = 0
+        for name, g, w in corpus:
+            n, steps = g.n, w.steps
+            assert realize(stm_from_witness(g, w)) == g, name
+            bad = [SddWitness(w.d, steps + ((0, 1),)), SddWitness(-1, steps)]
+            if steps:
+                bad.append(SddWitness(w.d, steps[:-1]))
+            least = next(d for d in range(w.d + 1) if check_witness(g, SddWitness(d, steps)))
+            if least > 0:  # below one step's sd
+                bad.append(SddWitness(least - 1, steps))
+            for k in sorted({0, 1, len(steps) // 2, len(steps) - 1} & set(range(len(steps)))):
+                e, p = steps[k]
+                for step in ((e, e), (n, p), (e, n), (-1, p), (e, -1)):
+                    bad.append(SddWitness(w.d, steps[:k] + (step,) + steps[k + 1:]))
+                if k:
+                    first = steps[0][0]  # eliminated by step 0
+                    for step in ((first, p), (e, first)):  # repeated, dead partner
+                        bad.append(SddWitness(w.d, steps[:k] + (step,) + steps[k + 1:]))
+            for x in bad:
+                assert not check_witness(g, x), (name, x)
+                with pytest.raises(ValueError) as err:
+                    stm_from_witness(g, x)
+                assert str(err.value) == "witness rejected by check_witness", (name, x)
+                tried += 1
+        assert tried > 2_000
+
     def test_mask_replay_matches_set_replay(self, corpus):
         for name, g, w in corpus:
             got, want = stm_from_witness(g, w), reference_stm_from_witness(g, w)
