@@ -66,6 +66,12 @@ class Graph:
                 else:
                     self.add_edge(u, v)  # raises the matching error
         except TypeError:
+            try:
+                iter(edges)
+            except TypeError:
+                raise ValueError(
+                    f"edges must be an iterable of vertex pairs, got {edges!r}"
+                ) from None
             reject_non_integer(u, v)
             raise
 

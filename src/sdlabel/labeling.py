@@ -21,8 +21,8 @@ endpoints fall on opposite path suffixes below the meet of the two paths
 form a chain, and the deepest one's color decides.  The decoder picks it
 with ``model.deepest_pair``, the same routine ``model.resolve`` uses on a
 whole model.  ``decode_matrix`` rebuilds the model a label set spells and
-realizes it with ``model.realize``, falling back to the pairwise loop
-where the labels spell no such model.
+realizes it with ``model.realize``; a label set that spells no clean model
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -247,100 +247,96 @@ def decode(a: AdjacencyLabel, b: AdjacencyLabel) -> bool:
 
 
 def decode_matrix(labels: dict[int, AdjacencyLabel]) -> Graph:
-    """Full graph reconstruction; reads each label once.
+    """The whole graph that a label set from :func:`encode` describes.
 
     Labels from :func:`encode` spell the model they were encoded from: a
     node has the same parent, depth and block in every label through it.
     That model is rebuilt and :func:`model.realize` decides every vertex
-    pair at once.  Where the labels spell no clean model with one leaf per
-    vertex, or ``realize`` finds a tie, the labels are parsed and the
-    vertex pairs decoded one by one as :func:`decode` does, so both paths
-    return the same graph and raise the same ``ValueError``.  Neither path
-    is an integrity check: a flipped bit that leaves the blocks consistent
-    decodes silently wrong on both.
+    pair at once.  A set that spells no clean model with one leaf per
+    vertex raises ``ValueError`` naming the first fault: labels that
+    disagree on a node, two labels of one leaf, a model that is not clean,
+    or a tie that ``realize`` finds.  So does a proper subset of a set; use
+    :func:`decode` for single pairs.  This is no integrity check: a flipped
+    bit in a block that only one label carries, such as a leaf's own
+    block, leaves the labels consistent and decodes silently wrong.
     """
-    m = _spelled_model(labels)
-    if m is not None:
-        try:
-            return realize(m)
-        except ValueError:  # two pairs of one depth sum share a leaf pair
-            pass
-    parsed = {v: _parse(l) for v, l in labels.items()}
-    n = len(parsed)
-    if sorted(parsed) != list(range(n)):
-        raise ValueError("labels must cover vertices 0..n-1")
-    return _decode_pairwise(parsed)
+    return realize(_spelled_model(labels))
 
 
-def _decode_pairwise(parsed: dict[int, _Parsed]) -> Graph:
-    g = Graph(len(parsed))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if _decode_parsed(parsed[u], parsed[v]):
-                g.add_edge(u, v)
-    return g
-
-
-def _spelled_model(labels: dict[int, AdjacencyLabel]) -> SignedTreeModel | None:
-    """The model that the labels of vertices 0..n-1 spell, or None where
-    the pairwise loop must decide: a label does not parse, the keys are not
-    0..n-1, the preambles or a node disagree between labels, the node ids
-    are not 0..k-1, the constructor rejects the tree or an entry, two
-    vertices end at one leaf, a pair is stored in both colors, or the model
-    is not clean (in a clean model the sibling pair at the meet of two
-    leaves covers them, so every vertex pair decodes).
+def _spelled_model(labels: dict[int, AdjacencyLabel]) -> SignedTreeModel:
+    """The model that the labels of vertices 0..n-1 spell, or a
+    ``ValueError`` at the first fault: no labels, a field that does not fit
+    its label (:func:`_parse`'s message), preambles that differ, a count
+    other than the preamble's n or keys other than 0..n-1, a node that two
+    labels disagree on, node ids that are not 0..k-1, a tree the
+    ``SignedTreeModel`` constructor rejects, two vertices that end at one
+    leaf, a pair stored in both colors, or a model that is not clean (in a
+    clean model the sibling pair at the meet of two leaves covers them, so
+    every vertex pair decodes).
 
     Each field is read straight from the label's bits, and a block is kept
     as one int per node: a label set costs a few objects per node, not one
     per entry of every label."""
     n = len(labels)
+    if not n:
+        raise ValueError("no labels")
     head = None
     nodes: dict[int, tuple[int, int, int, int]] = {}  # node -> (parent, depth, count, block)
     leaves = [0] * n
     for v in range(n):
         label = labels.get(v)
         if label is None:
-            return None
+            raise ValueError("labels must cover vertices 0..n-1")
         nbits, total = label.nbits, len(label.data) * 8
+        if nbits > total:
+            raise ValueError("label shorter than its declared bit length")
         pos = nbits - PREAMBLE_BITS - DEPTH_BITS  # bits left after the preamble and h
-        if nbits > total or pos < 0:
-            return None
+        if pos < 0:
+            raise ValueError("label exhausted: read past the end")
         value = int.from_bytes(label.data, "big") >> (total - nbits)
         top = value >> pos
         if head is None:
             head = top >> DEPTH_BITS
             id_bits, width = (head >> 16) & 0xFFFF, head & 0xFFFF
             if id_bits == 0:
-                return None
+                raise ValueError("corrupt label: zero id width")
+            if head >> 32 != n:
+                raise ValueError(f"preamble declares {head >> 32} vertices, found {n} labels")
             cb = width.bit_length()
             entry_bits = id_bits + 1
             id_mask, cb_mask = (1 << id_bits) - 1, (1 << cb) - 1
         elif top >> DEPTH_BITS != head:
-            return None
+            raise ValueError("labels come from different encodings")
         h = top & ((1 << DEPTH_BITS) - 1)
+        if h == 0:
+            raise ValueError("corrupt label: empty path")
         pos -= h * id_bits
-        if h == 0 or pos < 0:
-            return None
+        if pos < 0:
+            raise ValueError("label exhausted: read past the end")
         ids = value >> pos
         parent = -1
         for depth in range(h):
             x = (ids >> ((h - 1 - depth) * id_bits)) & id_mask
             pos -= cb
             if pos < 0:
-                return None
+                raise ValueError("label exhausted: read past the end")
             count = (value >> pos) & cb_mask
+            if count > width:
+                raise ValueError("corrupt label: owned count exceeds width")
             bits = count * entry_bits
             pos -= bits
-            if count > width or pos < 0:
-                return None
+            if pos < 0:
+                raise ValueError("label exhausted: read past the end")
             info = (parent, depth, count, (value >> pos) & ((1 << bits) - 1))
             if nodes.setdefault(x, info) != info:
-                return None
+                raise ValueError(f"label of vertex {v} disagrees with an earlier label on node {x}")
             parent = x
         leaves[v] = parent
+    if len(set(leaves)) < n:
+        raise ValueError("labels describe the same leaf")
     k = len(nodes)
-    if max(nodes, default=-1) != k - 1:
-        return None
+    if max(nodes) != k - 1:
+        raise ValueError(f"node ids are not 0..{k - 1}: the labels name node {max(nodes)}")
     kids: list[list[int]] = [[] for _ in range(k)]
     pairs: tuple[list, list] = ([], [])  # green, blue
     for x, (parent, _, count, block) in nodes.items():
@@ -352,12 +348,11 @@ def _spelled_model(labels: dict[int, AdjacencyLabel]) -> SignedTreeModel | None:
     leaf_vertex = [-1] * k
     for v, leaf in enumerate(leaves):
         leaf_vertex[leaf] = v
-    try:
-        m = SignedTreeModel([tuple(c) or None for c in kids], leaf_vertex, *pairs)
-    except ValueError:
-        return None
-    if m.n_leaves != n or m.green & m.blue or not is_clean(m):
-        return None
+    m = SignedTreeModel([tuple(c) or None for c in kids], leaf_vertex, *pairs)
+    if m.green & m.blue:
+        raise ValueError(f"pair {min(m.green & m.blue)} is both green and blue")
+    if not is_clean(m):
+        raise ValueError("labels spell a model that is not clean")
     return m
 
 

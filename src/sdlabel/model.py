@@ -34,7 +34,6 @@ __all__ = [
     "is_clean",
     "stm_from_witness",
     "stm_from_welzl",
-    "canonical_bfs",
     "save_stm",
     "load_stm",
 ]
@@ -692,7 +691,7 @@ def stm_from_welzl(
     return SignedTreeModel(children, leaf_vertex, green, blue)
 
 
-def canonical_bfs(m: SignedTreeModel) -> SignedTreeModel:
+def _canonical_bfs(m: SignedTreeModel) -> SignedTreeModel:
     """Renumber nodes in BFS order (left child first).
 
     After renumbering, each node's left child has the smaller id of the
@@ -727,7 +726,7 @@ def save_stm(m: SignedTreeModel, complete: bool = False) -> str:
     Children of a node are recovered from parent pointers by id order
     (smaller id = left child), which BFS numbering guarantees.
     """
-    m = canonical_bfs(m)
+    m = _canonical_bfs(m)
     header = f"p stm {m.n_nodes} {m.n_leaves}"
     if complete:
         header += " complete 1"

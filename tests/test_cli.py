@@ -90,6 +90,37 @@ class TestPipelines:
         code, out, _ = run(capsys, "verify", str(g), str(lf))
         assert code == 1 and out.strip() == "FAIL 1 mismatches"
 
+    def test_verify_rejects_flipped_shared_block(self, tmp_path, capsys):
+        g = tmp_path / "g.el"
+        wf = tmp_path / "w.ord"
+        lf = tmp_path / "L.lbl"
+        main(["gen", "--kind", "gnp", "--n", "12", "--p", "0.4", "--seed", "3",
+              "-o", str(g)])
+        main(["order", "--mode", "exact", str(g), "-o", str(wf)])
+        main(["label", str(g), str(wf), "-o", str(lf)])
+        from sdlabel.labeling import DEPTH_BITS, PREAMBLE_BITS, _parse, load_labels
+
+        # flip the color bit of the first entry stored at a non-leaf node of
+        # vertex 0's path: every label below that node carries the block
+        label = load_labels(lf.read_text())[0]
+        p = _parse(label)
+        cb = p.width.bit_length()
+        bit = PREAMBLE_BITS + DEPTH_BITS + len(p.path) * p.id_bits
+        i = next(i for i, block in enumerate(p.entries[:-1]) if block)
+        bit += sum(cb + len(block) * (p.id_bits + 1) for block in p.entries[:i])
+        bit += cb + p.id_bits
+        data = bytearray(label.data)
+        data[bit // 8] ^= 1 << (7 - bit % 8)
+        lines = lf.read_text().splitlines()
+        lines = [f"l 0 {data.hex()}" if line.startswith("l 0 ") else line for line in lines]
+        lf.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code, out, err = run(capsys, "verify", str(g), str(lf))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: label of vertex ")
+        assert f"disagrees with an earlier label on node {p.path[i]}" in err
+
     @pytest.mark.parametrize("n_graph", [8, 14])
     def test_verify_rejects_vertex_count_mismatch(self, tmp_path, capsys, n_graph):
         g = tmp_path / "g.el"

@@ -335,6 +335,8 @@ class TestConstructorRejects:
             ([(0, 1), (0, 1, 2)], "edge (0, 1, 2) is not a pair of vertices"),
             ([(0,)], "edge (0,) is not a pair of vertices"),
             ([None], "edge None is not a pair of vertices"),
+            (5, "edges must be an iterable of vertex pairs, got 5"),
+            (None, "edges must be an iterable of vertex pairs, got None"),
         ],
     )
     def test_edge_not_a_pair(self, edges, message):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdlabel import Graph, SddWitness, gen_gnp, gen_rook, sdd_exact, embed_sdd1
-from sdlabel import labeling
 from sdlabel.balance import orient_low_outdegree, shallowise
 from sdlabel.bench import bench_instance
 from sdlabel.labeling import (
@@ -158,6 +157,22 @@ def reference_decode_matrix(labels):
     return g
 
 
+def reference_blocks_agree(labels):
+    """Whether every node has one parent, depth and entry block in all the
+    labels through it; raises the parse's ValueError on a label that does
+    not parse."""
+    seen = {}
+    for label in labels.values():
+        p = _parse(label)
+        parent = -1
+        for depth, node in enumerate(p.path):
+            info = (parent, depth, p.entries[depth])
+            if seen.setdefault(node, info) != info:
+                return False
+            parent = node
+    return True
+
+
 def matrix_outcome(decoder, labels):
     """The decoded edge list, or the message of the ValueError raised."""
     try:
@@ -181,6 +196,12 @@ def write_label(n, id_bits, width, path, entries):
         nbits += bits
     pad = -nbits % 8
     return AdjacencyLabel((value << pad).to_bytes((nbits + pad) // 8, "big"), nbits)
+
+
+def label_set(parts):
+    """Labels in write_label's layout for n = 2, 2-bit ids and width 1;
+    ``parts`` maps each vertex to its (path, blocks)."""
+    return {v: write_label(2, 2, 1, *p) for v, p in parts.items()}
 
 
 def flip_bit(label, k):
@@ -406,43 +427,27 @@ class TestDecodeReference:
 
 
 class TestDecodeMatrix:
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        """Counts the label sets that decode_matrix hands to its pairwise loop."""
-        calls = []
-        pairwise = labeling._decode_pairwise
-
-        def counted(parsed):
-            calls.append(len(parsed))
-            return pairwise(parsed)
-
-        monkeypatch.setattr(labeling, "_decode_pairwise", counted)
-        return calls
-
-    def test_corpus_equals_reference(self, corpus, fallbacks):
+    def test_corpus_equals_reference(self, corpus):
         for name, g, w in corpus:
             labels = label_graph(g, w)
             assert decode_matrix(labels) == reference_decode_matrix(labels) == g, name
-        assert fallbacks == []
 
     @pytest.mark.parametrize(
         "args", [("embed", 64, 1, 1), ("rook", 36, 1, 0), ("gnp", 40, 6, 1)]
     )
-    def test_bench_instances_equal_reference(self, args, fallbacks):
+    def test_bench_instances_equal_reference(self, args):
         g, w = bench_instance(*args)
         labels = label_graph(g, w)
         assert decode_matrix(labels) == reference_decode_matrix(labels) == g
-        assert fallbacks == []
 
-    def test_comparable_pair_decides_nothing(self, fallbacks):
+    def test_comparable_pair_decides_nothing(self):
         # (3, 5) joins leaf 3 to its parent; is_clean accepts the model
         children = [None] * 4 + [(1, 2), (4, 3), (0, 5)]
         m = SignedTreeModel(children, [0, 1, 2, 3, -1, -1, -1], [(1, 2), (3, 4), (0, 5)], [(3, 5)])
         labels = encode(m)
         assert decode_matrix(labels) == reference_decode_matrix(labels) == realize(m)
-        assert fallbacks == []
 
-    def test_crossing_pairs_fall_back(self, fallbacks):
+    def test_crossing_pairs_tie(self):
         # the clean model's pairs (4, 7) and (1, 10) cross, so two pairs of
         # one depth sum decide a common leaf pair
         children = [None] * 7 + [(1, 2), (0, 7), (5, 6), (3, 4), (9, 10), (8, 11)]
@@ -452,68 +457,109 @@ class TestDecodeMatrix:
         message = "signed pairs (1, 10) and (4, 7) tie at depth 5"
         assert matrix_outcome(reference_decode_matrix, labels) == message
         assert matrix_outcome(decode_matrix, labels) == message
-        assert fallbacks == [7]
 
-    def test_repeated_label_falls_back(self, fallbacks):
+    def test_repeated_label_raises(self):
         g, w = bench_instance("gnp", 40, 6, 1)
         labels = label_graph(g, w)
-        cases = [{**labels, 1: labels[0]}]
+        message = "labels describe the same leaf"
+        assert matrix_outcome(decode_matrix, {**labels, 1: labels[0]}) == message
         # a new vertex with an isolated vertex's label leaves the spelled
-        # tree whole, and realize alone would return a graph one vertex short
+        # tree whole; the count no longer matches the preamble's n
         g, w = bench_instance("embed", 64, 1, 1)
         labels = label_graph(g, w)
         v = next(v for v in range(g.n) if not g.adj[v])
-        cases.append({**labels, g.n: labels[v]})
-        message = "labels describe the same leaf"
-        for copied in cases:
-            assert matrix_outcome(reference_decode_matrix, copied) == message
-            assert matrix_outcome(decode_matrix, copied) == message
-        assert fallbacks == [40, 65]
+        got = matrix_outcome(decode_matrix, {**labels, g.n: labels[v]})
+        assert got == "preamble declares 64 vertices, found 65 labels"
 
-    def test_pair_in_both_colors_falls_back(self, fallbacks):
+    def test_pair_in_both_colors_raises(self):
         m = SignedTreeModel([None, None, (0, 1)], [0, 1, -1], [], [(0, 1)])
         parts = {0: ((2, 0), ((), ((1, 1),))), 1: ((2, 1), ((), ()))}
         assert {v: write_label(2, 2, 1, *p) for v, p in parts.items()} == encode(m)
         # the sibling pair (0, 1) also stored green at leaf 1: the pairwise
-        # loop keeps the color read last, the model would keep blue
+        # decoder keeps the color read last, decode_matrix rejects the set
         parts[1] = ((2, 1), ((), ((0, 0),)))
         labels = {v: write_label(2, 2, 1, *p) for v, p in parts.items()}
-        assert decode_matrix(labels) == reference_decode_matrix(labels) == Graph(2)
-        assert fallbacks == [2]
+        assert reference_decode_matrix(labels) == Graph(2)
+        assert matrix_outcome(decode_matrix, labels) == "pair (0, 1) is both green and blue"
 
-    def test_single_bit_flips_match_reference(self, fallbacks):
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ({}, "no labels"),
+            (
+                {0: write_label(2, 2, 1, (2, 0), ((), ((1, 1),))),
+                 1: write_label(3, 2, 1, (2, 1), ((), ()))},
+                "labels come from different encodings",
+            ),
+            # node 2's block differs between the two labels
+            (
+                label_set({0: ((2, 0), (((1, 1),), ())), 1: ((2, 1), ((), ()))}),
+                "label of vertex 1 disagrees with an earlier label on node 2",
+            ),
+            # no node 2 between the root 3 and the leaves
+            (
+                label_set({0: ((3, 0), ((), ((1, 1),))), 1: ((3, 1), ((), ()))}),
+                "node ids are not 0..2: the labels name node 3",
+            ),
+            # vertex 0 ends at node 0, which is also vertex 1's parent
+            (
+                label_set({0: ((2, 0), ((), ((1, 1),))), 1: ((2, 0, 1), ((), ((1, 1),), ()))}),
+                "internal node 0 carries a leaf vertex",
+            ),
+            # the sibling pair (0, 1) is stored in neither color
+            (
+                label_set({0: ((2, 0), ((), ())), 1: ((2, 1), ((), ()))}),
+                "labels spell a model that is not clean",
+            ),
+        ],
+    )
+    def test_label_set_faults(self, labels, message):
+        assert matrix_outcome(decode_matrix, labels) == message
+
+    def test_single_bit_flips_match_reference(self):
         rng = random.Random(12)
         sets = []
         for args in (("embed", 64, 1, 1), ("rook", 36, 1, 0), ("gnp", 40, 6, 1)):
             g, w = bench_instance(*args)
             sets.append((g, label_graph(g, w)))
-        fast = fell_back = silent_wrong = 0
+        raised = same = silent_wrong = 0
         for _ in range(150):
             g, labels = rng.choice(sets)
             labels = dict(labels)
             v = rng.randrange(g.n)
             k = rng.randrange(labels[v].nbits)
             labels[v] = flip_bit(labels[v], k)
-            before = len(fallbacks)
             got = matrix_outcome(decode_matrix, labels)
-            assert got == matrix_outcome(reference_decode_matrix, labels), (g.n, v, k)
-            if len(fallbacks) > before:
-                fell_back += 1
-            elif not isinstance(got, str):
-                fast += 1
-                silent_wrong += got != g.edges()
-        # flips inside a block shared by several labels fall back; a flip
-        # that keeps the blocks consistent takes realize, and can decode
-        # silently wrong there as on the loop
-        assert fast > 0 and fell_back > 0 and silent_wrong > 0, (fast, fell_back)
+            try:
+                agree = reference_blocks_agree(labels)
+            except ValueError:
+                agree = False
+            if isinstance(got, str):
+                raised += 1
+                continue
+            # the model checks may also reject a set whose blocks agree, but
+            # a graph, when returned, is the pairwise loop's graph
+            assert agree and got == matrix_outcome(reference_decode_matrix, labels), (g.n, v, k)
+            same += got == g.edges()
+            silent_wrong += got != g.edges()
+        # a flip inside a block that only one label carries, such as a leaf's
+        # own block, keeps the blocks consistent and can decode silently wrong
+        assert raised > 0 and same > 0 and silent_wrong > 0, (raised, same, silent_wrong)
 
-    def test_cut_and_rekeyed_labels_match_reference(self, fallbacks):
+    def test_cut_and_rekeyed_labels_raise(self):
         # decode_matrix reads fields straight from the bits; a label whose
-        # length or keys are off must end as the reference's parse does
+        # length is off raises the parse's message, and wrong keys raise too
         g, w = bench_instance("gnp", 40, 6, 1)
         labels = label_graph(g, w)
+        cases = [
+            (
+                {k: v for k, v in labels.items() if k != 39},
+                "preamble declares 40 vertices, found 39 labels",
+            ),
+            ({**labels, 40: labels[5]}, "preamble declares 40 vertices, found 41 labels"),
+            ({k + (k == 39): v for k, v in labels.items()}, "labels must cover vertices 0..n-1"),
+        ]
         rng = random.Random(13)
-        cases = [{k: v for k, v in labels.items() if k != 39}, {**labels, 40: labels[5]}]
         for _ in range(60):
             v = rng.randrange(g.n)
             lab = labels[v]
@@ -525,15 +571,20 @@ class TestDecodeMatrix:
                     AdjacencyLabel(lab.data + b"\xff", lab.nbits),
                 ]
             )
-            cases.append({**labels, v: cut})
+            try:
+                _parse(cut)
+                want = g.edges()
+            except ValueError as exc:
+                want = str(exc)
+            cases.append(({**labels, v: cut}, want))
         raised = 0
-        for case in cases:
+        for case, want in cases:
             got = matrix_outcome(decode_matrix, case)
-            assert got == matrix_outcome(reference_decode_matrix, case)
+            assert got == want
             raised += isinstance(got, str)
-        assert 0 < raised < len(cases)
+        assert 3 < raised < len(cases)
 
-    def test_count_over_width_raises(self, fallbacks):
+    def test_count_over_width_raises(self):
         # a 2-bit count of 3 under width 2, repeating one pair, would spell
         # a clean model; the parse rejects the count first
         parts = {0: ((2, 0), ((), ((1, 1),) * 3)), 1: ((2, 1), ((), ()))}
@@ -541,7 +592,6 @@ class TestDecodeMatrix:
         message = "corrupt label: owned count exceeds width"
         assert matrix_outcome(reference_decode_matrix, labels) == message
         assert matrix_outcome(decode_matrix, labels) == message
-        assert fallbacks == []
 
 
 class TestLabelGraph:

@@ -13,7 +13,7 @@ from sdlabel.model import (
     GREEN,
     ResolvedEdge,
     SignedTreeModel,
-    canonical_bfs,
+    _canonical_bfs,
     is_clean,
     load_stm,
     make_clean,
@@ -549,7 +549,7 @@ class TestSerialization:
 
     def test_canonical_bfs_preserves_everything(self, figure_model):
         m, _ = figure_model
-        c = canonical_bfs(m)
+        c = _canonical_bfs(m)
         assert c.root == 0
         assert realize(c) == realize(m)
         assert width(c) == width(m)
