@@ -45,7 +45,6 @@ from .balance import (
     interval_cover,
     shallowise,
     width_bound,
-    orient_low_outdegree,
 )
 from .labeling import (
     AdjacencyLabel,

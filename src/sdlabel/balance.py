@@ -12,20 +12,16 @@ its deepest originating pair.  That tree is the cached pair-free model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .graph import min_degree_peel
 from .model import GREEN, SignedTreeModel, is_clean
 
 __all__ = [
-    "Orientation",
     "complete_tree",
     "interval_cover",
     "shallowise",
     "width_bound",
-    "orient_low_outdegree",
 ]
 
 
@@ -123,55 +119,6 @@ def width_bound(m: int) -> int:
     if s * s < 2 * m:
         s += 1
     return max(0, s - 1)
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """Pair ownership along the smallest-last peel of the pair graph.
-
-    ``order`` is the peel order of :func:`graph.min_degree_peel`: least
-    remaining degree first, ties to the smallest node id.  ``owner`` maps
-    each normalized pair (a, b), a < b, to the endpoint peeled earlier, so
-    a node owns exactly its degree at removal and ``max_outdegree`` is the
-    pair graph's degeneracy.
-    """
-
-    owner: dict
-    order: tuple[int, ...]
-    max_outdegree: int
-
-
-def orient_low_outdegree(nodes, pairs) -> Orientation:
-    """Orient every pair towards its endpoint peeled earlier.
-
-    ``pairs`` may repeat a pair in either orientation; both endpoints must
-    be in ``nodes``, which may also hold isolated nodes.  The nodes are
-    indexed 0..N-1 in id order, so :func:`graph.min_degree_peel` still
-    breaks ties towards the smallest id: O((N + M) log N) for N nodes and
-    M distinct pairs.
-    """
-    ids = sorted(set(nodes))
-    index = {u: i for i, u in enumerate(ids)}
-    adj: list[set[int]] = [set() for _ in ids]
-    for a, b in pairs:
-        if a == b:
-            raise ValueError(f"degenerate pair {(a, b)}")
-        i = index.get(a)
-        j = index.get(b)
-        if i is None or j is None:
-            raise ValueError(f"pair {(a, b)} has an endpoint outside the node set")
-        adj[i].add(j)
-        adj[j].add(i)
-    order, width = min_degree_peel(adj)
-    rank = [0] * len(ids)
-    for r, i in enumerate(order):
-        rank[i] = r
-    owner = {}
-    for i, nbrs in enumerate(adj):
-        for j in nbrs:
-            if i < j:  # ids ascend with the index, so (ids[i], ids[j]) is normalized
-                owner[(ids[i], ids[j])] = ids[i] if rank[i] < rank[j] else ids[j]
-    return Orientation(owner, tuple(ids[i] for i in order), width)
 
 
 def shallowise(m: SignedTreeModel, d_sparse: int) -> SignedTreeModel:

@@ -20,9 +20,11 @@ preamble.  Two labels decode adjacency alone: the stored entries whose
 endpoints fall on opposite path suffixes below the meet of the two paths
 form a chain, and the deepest one's color decides.  The decoder picks it
 with ``model.deepest_pair``, the same routine ``model.resolve`` uses on a
-whole model.  ``decode_matrix`` rebuilds the model a label set spells and
-realizes it with ``model.realize``; a label set that spells no clean model
-raises ``ValueError``.
+whole model.  Every reader goes through ``_read``, which shifts each field
+straight out of the label's bits and rejects a label whose declared bit
+length is not its layout's.  ``decode_matrix`` rebuilds the model a label
+set spells and realizes it with ``model.realize``; a label set that spells
+no clean model raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -64,24 +66,6 @@ class AdjacencyLabel:
 
     def hex(self) -> str:
         return self.data.hex()
-
-
-class _BitReader:
-    __slots__ = ("value", "nbits", "pos")
-
-    def __init__(self, label: AdjacencyLabel):
-        total = len(label.data) * 8
-        if label.nbits > total:
-            raise ValueError("label shorter than its declared bit length")
-        self.value = int.from_bytes(label.data, "big") >> (total - label.nbits)
-        self.nbits = label.nbits
-        self.pos = 0
-
-    def read(self, bits: int) -> int:
-        if self.pos + bits > self.nbits:
-            raise ValueError("label exhausted: read past the end")
-        self.pos += bits
-        return (self.value >> (self.nbits - self.pos)) & ((1 << bits) - 1)
 
 
 def layout_bound(n: int, id_bits: int, width: int, h: int) -> int:
@@ -199,51 +183,99 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     return labels
 
 
-@dataclass(frozen=True, slots=True)
-class _Parsed:
-    n: int
-    id_bits: int
-    width: int
-    path: tuple[int, ...]
-    entries: tuple[tuple[tuple[int, int], ...], ...]  # per path node
-    nbits: int  # bits the layout occupies, i.e. the exact label length
+def _read(data: bytes, nbits: int, exact: bool = True) -> tuple:
+    """The v1 fields of the label with these bytes and declared bit
+    length, each shifted straight out of its bits.
 
-
-def _parse(label: AdjacencyLabel) -> _Parsed:
-    r = _BitReader(label)
-    n = r.read(16)
-    id_bits = r.read(16)
-    width = r.read(16)
+    Returns ``(preamble, h, ids, counts, blocks, nbits)``: the 48-bit
+    preamble as one int, the path length, the h path ids as one int (root
+    first, most significant), each path node's owned-pair count and its
+    entries folded into one block int, in two lists, root first, and the
+    bits the layout occupies.  No block is split into entries.  Raises
+    ``ValueError`` on a field that does not fit the declared bits, and,
+    when ``exact``, on bits left over after the last block; otherwise the
+    declared length is only a ceiling and ``nbits`` tells where the layout
+    ends.
+    """
+    total = len(data) * 8
+    if nbits > total:
+        raise ValueError("label shorter than its declared bit length")
+    pos = nbits - PREAMBLE_BITS  # bits after the field just read
+    if pos < 0:
+        raise ValueError("label exhausted: read past the end")
+    value = int.from_bytes(data, "big") >> (total - nbits)
+    head = value >> pos
+    id_bits, width = head >> 16 & 0xFFFF, head & 0xFFFF
     if id_bits == 0:
         raise ValueError("corrupt label: zero id width")
-    cb = width.bit_length()
-    h = r.read(DEPTH_BITS)
+    pos -= DEPTH_BITS
+    if pos < 0:
+        raise ValueError("label exhausted: read past the end")
+    h = value >> pos & ((1 << DEPTH_BITS) - 1)
     if h == 0:
         raise ValueError("corrupt label: empty path")
-    path = tuple(r.read(id_bits) for _ in range(h))
-    entries = []
+    pos -= h * id_bits
+    if pos < 0:
+        raise ValueError("label exhausted: read past the end")
+    ids = value >> pos & ((1 << (h * id_bits)) - 1)
+    cb = width.bit_length()
+    cb_mask = (1 << cb) - 1
+    entry_bits = id_bits + 1
+    counts = []
+    blocks = []
     for _ in range(h):
-        cnt = r.read(cb)
-        if cnt > width:
+        pos -= cb
+        if pos < 0:
+            raise ValueError("label exhausted: read past the end")
+        count = value >> pos & cb_mask
+        if count > width:
             raise ValueError("corrupt label: owned count exceeds width")
-        entries.append(tuple((r.read(id_bits), r.read(1)) for _ in range(cnt)))
-    return _Parsed(n, id_bits, width, path, tuple(entries), r.pos)
+        bits = count * entry_bits
+        pos -= bits
+        if pos < 0:
+            raise ValueError("label exhausted: read past the end")
+        counts.append(count)
+        blocks.append(value >> pos & ((1 << bits) - 1))
+    if pos and exact:
+        raise ValueError(f"label declares {nbits} bits but its layout ends at bit {nbits - pos}")
+    return head, h, ids, counts, blocks, nbits - pos
 
 
-def _decode_parsed(a: _Parsed, b: _Parsed) -> bool:
-    if (a.n, a.id_bits, a.width) != (b.n, b.id_bits, b.width):
-        raise ValueError("labels come from different encodings")
-    if a.path == b.path:
-        raise ValueError("labels describe the same leaf")
-    best = deepest_pair(a.path, a.entries, b.path, b.entries)
-    if best is None:
-        raise ValueError("no signed pair covers the leaf pair; corrupt labels")
-    return best[2] == 1
+def _split(label: AdjacencyLabel) -> tuple:
+    """``(preamble, path, entries)``: :func:`_read`'s fields with the path
+    as a tuple of node ids and each block split into a list of its
+    ``(other, color)`` entries, as :func:`model.deepest_pair` takes them.
+
+    The entries go into lists, not tuples: a block holds up to W entries,
+    and CPython keeps up to 2,000 freed tuples of each length below 20, so
+    a stream of decodes would hold a few MiB of freed tuples for good."""
+    head, h, ids, counts, blocks, _ = _read(label.data, label.nbits)
+    id_bits = head >> 16 & 0xFFFF
+    id_mask = (1 << id_bits) - 1
+    path = tuple([(ids >> s) & id_mask for s in range((h - 1) * id_bits, -1, -id_bits)])
+    entry_bits = id_bits + 1
+    entries = [
+        [
+            ((block >> (s + 1)) & id_mask, (block >> s) & 1)
+            for s in range((count - 1) * entry_bits, -1, -entry_bits)
+        ]
+        for count, block in zip(counts, blocks)
+    ]
+    return head, path, entries
 
 
 def decode(a: AdjacencyLabel, b: AdjacencyLabel) -> bool:
     """Adjacency of two distinct vertices from their labels alone."""
-    return _decode_parsed(_parse(a), _parse(b))
+    head_a, path_a, entries_a = _split(a)
+    head_b, path_b, entries_b = _split(b)
+    if head_a != head_b:
+        raise ValueError("labels come from different encodings")
+    if path_a == path_b:
+        raise ValueError("labels describe the same leaf")
+    best = deepest_pair(path_a, entries_a, path_b, entries_b)
+    if best is None:
+        raise ValueError("no signed pair covers the leaf pair; corrupt labels")
+    return best[2] == 1
 
 
 def decode_matrix(labels: dict[int, AdjacencyLabel]) -> Graph:
@@ -265,69 +297,42 @@ def decode_matrix(labels: dict[int, AdjacencyLabel]) -> Graph:
 
 def _spelled_model(labels: dict[int, AdjacencyLabel]) -> SignedTreeModel:
     """The model that the labels of vertices 0..n-1 spell, or a
-    ``ValueError`` at the first fault: no labels, a field that does not fit
-    its label (:func:`_parse`'s message), preambles that differ, a count
-    other than the preamble's n or keys other than 0..n-1, a node that two
+    ``ValueError`` at the first fault: no labels, a label that does not
+    read (:func:`_read`'s message), preambles that differ, a count other
+    than the preamble's n or keys other than 0..n-1, a node that two
     labels disagree on, node ids that are not 0..k-1, a tree the
     ``SignedTreeModel`` constructor rejects, two vertices that end at one
     leaf, a pair stored in both colors, or a model that is not clean (in a
     clean model the sibling pair at the meet of two leaves covers them, so
     every vertex pair decodes).
 
-    Each field is read straight from the label's bits, and a block is kept
-    as one int per node: a label set costs a few objects per node, not one
-    per entry of every label."""
+    A block stays one int per node, as :func:`_read` returns it: a label
+    set costs a few objects per node, not one per entry of every label."""
     n = len(labels)
     if not n:
         raise ValueError("no labels")
     head = None
-    nodes: dict[int, tuple[int, int, int, int]] = {}  # node -> (parent, depth, count, block)
+    nodes: dict[int, tuple] = {}  # node -> (parent, count, block)
     leaves = [0] * n
     for v in range(n):
         label = labels.get(v)
         if label is None:
             raise ValueError("labels must cover vertices 0..n-1")
-        nbits, total = label.nbits, len(label.data) * 8
-        if nbits > total:
-            raise ValueError("label shorter than its declared bit length")
-        pos = nbits - PREAMBLE_BITS - DEPTH_BITS  # bits left after the preamble and h
-        if pos < 0:
-            raise ValueError("label exhausted: read past the end")
-        value = int.from_bytes(label.data, "big") >> (total - nbits)
-        top = value >> pos
+        top, h, ids, counts, blocks, _ = _read(label.data, label.nbits)
         if head is None:
-            head = top >> DEPTH_BITS
-            id_bits, width = (head >> 16) & 0xFFFF, head & 0xFFFF
-            if id_bits == 0:
-                raise ValueError("corrupt label: zero id width")
+            head = top
             if head >> 32 != n:
                 raise ValueError(f"preamble declares {head >> 32} vertices, found {n} labels")
-            cb = width.bit_length()
-            entry_bits = id_bits + 1
-            id_mask, cb_mask = (1 << id_bits) - 1, (1 << cb) - 1
-        elif top >> DEPTH_BITS != head:
+            id_bits = head >> 16 & 0xFFFF
+            id_mask = (1 << id_bits) - 1
+        elif top != head:
             raise ValueError("labels come from different encodings")
-        h = top & ((1 << DEPTH_BITS) - 1)
-        if h == 0:
-            raise ValueError("corrupt label: empty path")
-        pos -= h * id_bits
-        if pos < 0:
-            raise ValueError("label exhausted: read past the end")
-        ids = value >> pos
+        # A node's depth follows from its parent, so labels that agree on
+        # every parent agree on every depth.
         parent = -1
-        for depth in range(h):
-            x = (ids >> ((h - 1 - depth) * id_bits)) & id_mask
-            pos -= cb
-            if pos < 0:
-                raise ValueError("label exhausted: read past the end")
-            count = (value >> pos) & cb_mask
-            if count > width:
-                raise ValueError("corrupt label: owned count exceeds width")
-            bits = count * entry_bits
-            pos -= bits
-            if pos < 0:
-                raise ValueError("label exhausted: read past the end")
-            info = (parent, depth, count, (value >> pos) & ((1 << bits) - 1))
+        for shift, count, block in zip(range((h - 1) * id_bits, -1, -id_bits), counts, blocks):
+            x = (ids >> shift) & id_mask
+            info = (parent, count, block)
             if nodes.setdefault(x, info) != info:
                 raise ValueError(f"label of vertex {v} disagrees with an earlier label on node {x}")
             parent = x
@@ -339,7 +344,8 @@ def _spelled_model(labels: dict[int, AdjacencyLabel]) -> SignedTreeModel:
         raise ValueError(f"node ids are not 0..{k - 1}: the labels name node {max(nodes)}")
     kids: list[list[int]] = [[] for _ in range(k)]
     pairs: tuple[list, list] = ([], [])  # green, blue
-    for x, (parent, _, count, block) in nodes.items():
+    entry_bits = id_bits + 1
+    for x, (parent, count, block) in nodes.items():
         if parent >= 0:
             kids[parent].append(x)
         for shift in range((count - 1) * entry_bits, -1, -entry_bits):
@@ -368,7 +374,8 @@ def label_graph(g: Graph, w: SddWitness) -> dict[int, AdjacencyLabel]:
     # Width is the pair graph's degeneracy, so it never exceeds the
     # edge-count bound; keep the certificate honest.
     pairs = len(balanced.green | balanced.blue)
-    scheme_width = _parse(next(iter(labels.values()))).width
+    first = next(iter(labels.values()))
+    scheme_width = _read(first.data, first.nbits)[0] & 0xFFFF
     assert scheme_width <= width_bound(pairs), (scheme_width, pairs)
     return labels
 
@@ -382,14 +389,15 @@ class LabelStats:
 
 
 def label_stats(labels: dict[int, AdjacencyLabel]) -> LabelStats:
-    """Max/mean label size against the layout bound at the parsed sizes."""
+    """Max/mean label size against the layout bound at the first label's
+    preamble and the longest path."""
     if not labels:
         raise ValueError("no labels")
     sizes = [l.nbits for l in labels.values()]
-    parsed = [_parse(l) for l in labels.values()]
-    h = max(len(p.path) for p in parsed)
-    p0 = parsed[0]
-    bound = layout_bound(p0.n, p0.id_bits, p0.width, h)
+    first = next(iter(labels.values()))
+    head = _read(first.data, first.nbits)[0]
+    h = max(_read(l.data, l.nbits)[1] for l in labels.values())
+    bound = layout_bound(head >> 32, head >> 16 & 0xFFFF, head & 0xFFFF, h)
     mx = max(sizes)
     return LabelStats(mx, sum(sizes) / len(sizes), bound, mx / bound)
 
@@ -398,8 +406,9 @@ def save_labels(labels: dict[int, AdjacencyLabel]) -> str:
     """`p lbl` format: hex dump per vertex, MSB first, zero-padded to bytes."""
     if not labels:
         raise ValueError("no labels")
-    p0 = _parse(next(iter(labels.values())))
-    lines = [f"p lbl {p0.n} {p0.id_bits} {p0.width}"]
+    first = next(iter(labels.values()))
+    head = _read(first.data, first.nbits)[0]
+    lines = [f"p lbl {head >> 32} {head >> 16 & 0xFFFF} {head & 0xFFFF}"]
     for v in sorted(labels):
         lines.append(f"l {v} {labels[v].hex()}")
     return "\n".join(lines) + "\n"
@@ -457,7 +466,7 @@ def load_labels(text: str) -> dict[int, AdjacencyLabel]:
                     f"disagrees with header {header}"
                 )
             try:
-                nbits = _parse(AdjacencyLabel(data, len(data) * 8)).nbits
+                nbits = _read(data, len(data) * 8, exact=False)[5]
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             pad = len(data) * 8 - nbits

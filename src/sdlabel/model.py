@@ -173,9 +173,6 @@ class SignedTreeModel:
         """Weak: a == b counts."""
         return self.tin[a] <= self.tin[b] and self.tout[b] <= self.tout[a]
 
-    def is_strict_ancestor(self, a: int, b: int) -> bool:
-        return a != b and self.is_ancestor(a, b)
-
     def is_transversal(self, a: int, b: int) -> bool:
         return not self.is_ancestor(a, b) and not self.is_ancestor(b, a)
 

@@ -1,5 +1,10 @@
 """Shared fixtures: a small graph zoo, the 14-leaf figure model, and the
-witness corpus used by the model/balance/labeling acceptance criteria."""
+witness corpus used by the model/balance/labeling acceptance criteria;
+and the reference implementations that several test modules compare the
+library against: the field-by-field label parser and the peel
+orientation of signed pairs."""
+
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,7 +18,111 @@ from sdlabel import (
     embed_sdd1,
     check_witness,
 )
+from sdlabel.graph import min_degree_peel
+from sdlabel.labeling import DEPTH_BITS
 from sdlabel.model import SignedTreeModel
+
+
+class _BitReader:
+    __slots__ = ("value", "nbits", "pos")
+
+    def __init__(self, label):
+        total = len(label.data) * 8
+        if label.nbits > total:
+            raise ValueError("label shorter than its declared bit length")
+        self.value = int.from_bytes(label.data, "big") >> (total - label.nbits)
+        self.nbits = label.nbits
+        self.pos = 0
+
+    def read(self, bits: int) -> int:
+        if self.pos + bits > self.nbits:
+            raise ValueError("label exhausted: read past the end")
+        self.pos += bits
+        return (self.value >> (self.nbits - self.pos)) & ((1 << bits) - 1)
+
+
+@dataclass(frozen=True)
+class ParsedLabel:
+    n: int
+    id_bits: int
+    width: int
+    path: tuple
+    entries: tuple  # per path node, its ((other, color), ...) entries
+    nbits: int  # bits the layout occupies
+
+
+def reference_parse(label):
+    """The label parser that read one field at a time through a bit reader,
+    kept to compare labeling._read against.  It never looks past the last
+    block, so ``nbits`` may be less than the label's declared length."""
+    r = _BitReader(label)
+    n = r.read(16)
+    id_bits = r.read(16)
+    width = r.read(16)
+    if id_bits == 0:
+        raise ValueError("corrupt label: zero id width")
+    cb = width.bit_length()
+    h = r.read(DEPTH_BITS)
+    if h == 0:
+        raise ValueError("corrupt label: empty path")
+    path = tuple(r.read(id_bits) for _ in range(h))
+    entries = []
+    for _ in range(h):
+        cnt = r.read(cb)
+        if cnt > width:
+            raise ValueError("corrupt label: owned count exceeds width")
+        entries.append(tuple((r.read(id_bits), r.read(1)) for _ in range(cnt)))
+    return ParsedLabel(n, id_bits, width, path, tuple(entries), r.pos)
+
+
+@dataclass(frozen=True)
+class Orientation:
+    """Pair ownership along the smallest-last peel of the pair graph.
+
+    ``order`` is the peel order of :func:`graph.min_degree_peel`: least
+    remaining degree first, ties to the smallest node id.  ``owner`` maps
+    each normalized pair (a, b), a < b, to the endpoint peeled earlier, so
+    a node owns exactly its degree at removal and ``max_outdegree`` is the
+    pair graph's degeneracy.
+    """
+
+    owner: dict
+    order: tuple
+    max_outdegree: int
+
+
+def orient_low_outdegree(nodes, pairs) -> Orientation:
+    """Orient every pair towards its endpoint peeled earlier: the
+    ownership that labeling.encode gives each signed pair, kept as a
+    reference for it.
+
+    ``pairs`` may repeat a pair in either orientation; both endpoints must
+    be in ``nodes``, which may also hold isolated nodes.  The nodes are
+    indexed 0..N-1 in id order, so :func:`graph.min_degree_peel` still
+    breaks ties towards the smallest id.
+    """
+    ids = sorted(set(nodes))
+    index = {u: i for i, u in enumerate(ids)}
+    adj = [set() for _ in ids]
+    for a, b in pairs:
+        if a == b:
+            raise ValueError(f"degenerate pair {(a, b)}")
+        i = index.get(a)
+        j = index.get(b)
+        if i is None or j is None:
+            raise ValueError(f"pair {(a, b)} has an endpoint outside the node set")
+        adj[i].add(j)
+        adj[j].add(i)
+    order, width = min_degree_peel(adj)
+    rank = [0] * len(ids)
+    for r, i in enumerate(order):
+        rank[i] = r
+    owner = {}
+    for i, nbrs in enumerate(adj):
+        for j in nbrs:
+            if i < j:  # ids ascend with the index, so (ids[i], ids[j]) is normalized
+                owner[(ids[i], ids[j])] = ids[i] if rank[i] < rank[j] else ids[j]
+    return Orientation(owner, tuple(ids[i] for i in order), width)
 
 
 def complete_graph(n):

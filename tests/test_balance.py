@@ -11,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 from sdlabel import Graph, gen_gnp, sdd_exact
 from sdlabel.bench import bench_instance
 from sdlabel.balance import (
-    Orientation,
     _covers,
     complete_tree,
     interval_cover,
-    orient_low_outdegree,
     shallowise,
     width_bound,
 )
@@ -30,7 +28,7 @@ from sdlabel.model import (
     width,
 )
 
-from conftest import build_figure_model
+from conftest import build_figure_model, orient_low_outdegree
 
 
 def min_cover_oracle(n, i, j):

@@ -90,6 +90,25 @@ class TestPipelines:
         code, out, _ = run(capsys, "verify", str(g), str(lf))
         assert code == 1 and out.strip() == "FAIL 1 mismatches"
 
+    def test_trailing_byte_is_one_line_error(self, tmp_path, capsys):
+        g = tmp_path / "g.el"
+        wf = tmp_path / "w.ord"
+        lf = tmp_path / "L.lbl"
+        main(["gen", "--kind", "gnp", "--n", "12", "--p", "0.4", "--seed", "3",
+              "-o", str(g)])
+        main(["order", "--mode", "exact", str(g), "-o", str(wf)])
+        main(["label", str(g), str(wf), "-o", str(lf)])
+        lines = lf.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith("l 0 "))
+        lines[k] += "00"
+        lf.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for argv in (("verify", str(g), str(lf)), ("decode", str(lf), "0", "1")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert err.startswith(f"error: line {k + 1}: trailing byte after the ")
+
     def test_verify_rejects_flipped_shared_block(self, tmp_path, capsys):
         g = tmp_path / "g.el"
         wf = tmp_path / "w.ord"
@@ -98,12 +117,14 @@ class TestPipelines:
               "-o", str(g)])
         main(["order", "--mode", "exact", str(g), "-o", str(wf)])
         main(["label", str(g), str(wf), "-o", str(lf)])
-        from sdlabel.labeling import DEPTH_BITS, PREAMBLE_BITS, _parse, load_labels
+        from sdlabel.labeling import DEPTH_BITS, PREAMBLE_BITS, load_labels
+
+        from conftest import reference_parse
 
         # flip the color bit of the first entry stored at a non-leaf node of
         # vertex 0's path: every label below that node carries the block
         label = load_labels(lf.read_text())[0]
-        p = _parse(label)
+        p = reference_parse(label)
         cb = p.width.bit_length()
         bit = PREAMBLE_BITS + DEPTH_BITS + len(p.path) * p.id_bits
         i = next(i for i, block in enumerate(p.entries[:-1]) if block)

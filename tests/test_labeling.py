@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdlabel import Graph, SddWitness, gen_gnp, gen_rook, sdd_exact, embed_sdd1
-from sdlabel.balance import orient_low_outdegree, shallowise
+from sdlabel.balance import shallowise
 from sdlabel.bench import bench_instance
 from sdlabel.labeling import (
     DEPTH_BITS,
     PREAMBLE_BITS,
     AdjacencyLabel,
-    _decode_parsed,
-    _parse,
+    _read,
+    _split,
     decode,
     decode_matrix,
     encode,
@@ -26,10 +26,11 @@ from sdlabel.labeling import (
     save_labels,
 )
 from sdlabel.model import (
-    BLUE, SignedTreeModel, is_clean, make_clean, realize, stm_from_witness, validate
+    BLUE, SignedTreeModel, deepest_pair, is_clean, make_clean, realize, stm_from_witness,
+    validate,
 )
 
-from conftest import build_figure_model, complete_graph
+from conftest import build_figure_model, complete_graph, orient_low_outdegree, reference_parse
 
 
 def reference_encode(m):
@@ -133,18 +134,39 @@ def reference_decode_parsed(a, b):
     return ranked[-1][2] == 1
 
 
+def exact_parse(label):
+    """reference_parse, which also rejects a label whose declared length
+    runs past its layout, as every library reader does."""
+    p = reference_parse(label)
+    if p.nbits != label.nbits:
+        raise ValueError(f"label declares {label.nbits} bits but its layout ends at bit {p.nbits}")
+    return p
+
+
 def reference_decode(a, b):
     """True/False from the reference decoder, or ValueError if it raises."""
     try:
-        return reference_decode_parsed(_parse(a), _parse(b))
+        return reference_decode_parsed(exact_parse(a), exact_parse(b))
     except ValueError:
         return ValueError
+
+
+def decode_parsed(a, b):
+    """decode's rule on two parsed labels: model.deepest_pair's color."""
+    if (a.n, a.id_bits, a.width) != (b.n, b.id_bits, b.width):
+        raise ValueError("labels come from different encodings")
+    if a.path == b.path:
+        raise ValueError("labels describe the same leaf")
+    best = deepest_pair(a.path, a.entries, b.path, b.entries)
+    if best is None:
+        raise ValueError("no signed pair covers the leaf pair; corrupt labels")
+    return best[2] == 1
 
 
 def reference_decode_matrix(labels):
     """decode_matrix's former loop, one decode per vertex pair, kept to
     compare against."""
-    parsed = {v: _parse(l) for v, l in labels.items()}
+    parsed = {v: exact_parse(l) for v, l in labels.items()}
     n = len(parsed)
     if sorted(parsed) != list(range(n)):
         raise ValueError("labels must cover vertices 0..n-1")
@@ -152,7 +174,7 @@ def reference_decode_matrix(labels):
     verts = sorted(parsed)
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:
-            if _decode_parsed(parsed[u], parsed[v]):
+            if decode_parsed(parsed[u], parsed[v]):
                 g.add_edge(u, v)
     return g
 
@@ -163,7 +185,7 @@ def reference_blocks_agree(labels):
     not parse."""
     seen = {}
     for label in labels.values():
-        p = _parse(label)
+        p = exact_parse(label)
         parent = -1
         for depth, node in enumerate(p.path):
             info = (parent, depth, p.entries[depth])
@@ -256,7 +278,7 @@ class TestEncode:
         for name, g, w in corpus[:25]:
             block_at = {}
             for label in label_graph(g, w).values():
-                p = _parse(label)
+                p = reference_parse(label)
                 for node, entries in zip(p.path, p.entries):
                     if node in block_at:
                         assert block_at[node] == entries, (name, node)
@@ -426,6 +448,101 @@ class TestDecodeReference:
         assert ties > 0 and wrong > 0
 
 
+def reference_fields(label):
+    """_read's fields built from reference_parse, or its message."""
+    try:
+        p = reference_parse(label)
+    except ValueError as exc:
+        return str(exc)
+    ids = 0
+    for x in p.path:
+        ids = (ids << p.id_bits) | x
+    blocks = []
+    for block in p.entries:
+        value = 0
+        for y, color in block:
+            value = (value << (p.id_bits + 1)) | (y << 1) | color
+        blocks.append(value)
+    counts = [len(block) for block in p.entries]
+    return (p.n << 32) | (p.id_bits << 16) | p.width, len(p.path), ids, counts, blocks, p.nbits
+
+
+def check_reader(label):
+    """_read and _split against reference_parse: equal fields, or equal
+    messages, or, where the reference parses and stops short of the
+    declared length, the reader's length message.  Returns which."""
+    want = reference_fields(label)
+    try:
+        got = _read(label.data, label.nbits)
+    except ValueError as exc:
+        got = str(exc)
+    if isinstance(want, tuple) and want[5] != label.nbits:
+        assert got == f"label declares {label.nbits} bits but its layout ends at bit {want[5]}"
+        return "length"
+    assert got == want
+    if isinstance(got, str):
+        return "raised"
+    p = reference_parse(label)
+    head, path, entries = _split(label)
+    assert (head, path) == (got[0], p.path)
+    assert tuple(tuple(block) for block in entries) == p.entries
+    return "read"
+
+
+class TestRead:
+    """The one v1 reader against the field-by-field reference parser."""
+
+    @staticmethod
+    def bench_sets():
+        sets = []
+        for args in (("embed", 512, 1, 1), ("rook", 256, 1, 0)):
+            g, w = bench_instance(*args)
+            sets.append(label_graph(g, w))
+        return sets
+
+    def test_every_label_matches_reference(self, corpus):
+        sets = [label_graph(g, w) for _, g, w in corpus] + self.bench_sets()
+        for labels in sets:
+            for label in labels.values():
+                assert check_reader(label) == "read"
+
+    def test_single_bit_flips_match_reference(self, corpus):
+        big = sorted(corpus, key=lambda c: -c[1].n)[:2]
+        sets = [label_graph(g, w) for _, g, w in big] + self.bench_sets()
+        seen = {"read": 0, "raised": 0, "length": 0}
+        for labels in sets:
+            for v in (0, len(labels) // 2, len(labels) - 1):
+                label = labels[v]
+                for k in range(label.nbits):
+                    seen[check_reader(flip_bit(label, k))] += 1
+        # flips land in fields that still read, in fields that fail, and in
+        # counts that move the layout's end off the declared length
+        assert all(seen.values()), seen
+
+    def test_declared_length_must_match_layout(self):
+        g, w = bench_instance("embed", 64, 1, 1)
+        labels = label_graph(g, w)
+        lab = labels[3]
+        longer = AdjacencyLabel(lab.data + b"\x00\x00", lab.nbits + 9)
+        cut = AdjacencyLabel(lab.data, lab.nbits - 1)
+        # the field-by-field parser read both as far as their layouts go
+        assert reference_parse(longer) == reference_parse(lab)
+        for bad, message in (
+            (longer, f"label declares {lab.nbits + 9} bits but its layout ends at bit {lab.nbits}"),
+            (cut, "label exhausted: read past the end"),
+        ):
+            for call in (
+                lambda: decode(bad, labels[4]),
+                lambda: decode(labels[4], bad),
+                lambda: decode_matrix({**labels, 3: bad}),
+                lambda: label_stats({**labels, 3: bad}),
+                lambda: save_labels({3: bad}),
+            ):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == message
+
+
 class TestDecodeMatrix:
     def test_corpus_equals_reference(self, corpus):
         for name, g, w in corpus:
@@ -548,7 +665,7 @@ class TestDecodeMatrix:
 
     def test_cut_and_rekeyed_labels_raise(self):
         # decode_matrix reads fields straight from the bits; a label whose
-        # length is off raises the parse's message, and wrong keys raise too
+        # length is off raises the reader's message, and wrong keys raise too
         g, w = bench_instance("gnp", 40, 6, 1)
         labels = label_graph(g, w)
         cases = [
@@ -572,7 +689,7 @@ class TestDecodeMatrix:
                 ]
             )
             try:
-                _parse(cut)
+                _read(cut.data, cut.nbits)
                 want = g.edges()
             except ValueError as exc:
                 want = str(exc)

@@ -49,7 +49,10 @@ def reference_pairs_cross(m, p, q):
     the brute-force check of validate's crossing sweep."""
     u, v = p
     a, b = q
-    s = m.is_strict_ancestor
+
+    def s(a, b):
+        return a != b and m.is_ancestor(a, b)
+
     return (
         (s(u, a) and s(b, v))
         or (s(a, u) and s(v, b))

@@ -1,10 +1,11 @@
 """The shared smallest-last peel against the O(N^2) min-scan it replaced.
 
-``graph.degeneracy``, ``balance.orient_low_outdegree``, ``model.width`` and
-``labeling.encode`` all run ``graph.min_degree_peel``.  The references
-below are the earlier per-caller implementations, which picked the next
-vertex with ``min(alive, key=(deg, id))``; orders, owners and widths must
-match them exactly, since the label bits depend on them.
+``graph.degeneracy``, ``model.width`` and ``labeling.encode`` all run
+``graph.min_degree_peel``, and so does the tests' reference orientation
+``conftest.orient_low_outdegree``.  The references below are the earlier
+per-caller implementations, which picked the next vertex with
+``min(alive, key=(deg, id))``; orders, owners and widths must match them
+exactly, since the label bits depend on them.
 """
 
 import random
@@ -12,10 +13,12 @@ import random
 import pytest
 
 from sdlabel import Graph, gen_gnp
-from sdlabel.balance import orient_low_outdegree, shallowise
+from sdlabel.balance import shallowise
 from sdlabel.bench import padded_embed
 from sdlabel.graph import degeneracy, min_degree_peel
 from sdlabel.model import make_clean, stm_from_witness, width
+
+from conftest import orient_low_outdegree
 
 CASES = 200
 
