@@ -183,6 +183,11 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     return labels
 
 
+def _preamble(head: int) -> tuple[int, int, int]:
+    """``(n, id_bits, W)`` of a 48-bit preamble int."""
+    return head >> 32, head >> 16 & 0xFFFF, head & 0xFFFF
+
+
 def _read(data: bytes, nbits: int, exact: bool = True) -> tuple:
     """The v1 fields of the label with these bytes and declared bit
     length, each shifted straight out of its bits.
@@ -205,7 +210,7 @@ def _read(data: bytes, nbits: int, exact: bool = True) -> tuple:
         raise ValueError("label exhausted: read past the end")
     value = int.from_bytes(data, "big") >> (total - nbits)
     head = value >> pos
-    id_bits, width = head >> 16 & 0xFFFF, head & 0xFFFF
+    _, id_bits, width = _preamble(head)
     if id_bits == 0:
         raise ValueError("corrupt label: zero id width")
     pos -= DEPTH_BITS
@@ -244,13 +249,9 @@ def _read(data: bytes, nbits: int, exact: bool = True) -> tuple:
 def _split(label: AdjacencyLabel) -> tuple:
     """``(preamble, path, entries)``: :func:`_read`'s fields with the path
     as a tuple of node ids and each block split into a list of its
-    ``(other, color)`` entries, as :func:`model.deepest_pair` takes them.
-
-    The entries go into lists, not tuples: a block holds up to W entries,
-    and CPython keeps up to 2,000 freed tuples of each length below 20, so
-    a stream of decodes would hold a few MiB of freed tuples for good."""
+    ``(other, color)`` entries, as :func:`model.deepest_pair` takes them."""
     head, h, ids, counts, blocks, _ = _read(label.data, label.nbits)
-    id_bits = head >> 16 & 0xFFFF
+    _, id_bits, _ = _preamble(head)
     id_mask = (1 << id_bits) - 1
     path = tuple([(ids >> s) & id_mask for s in range((h - 1) * id_bits, -1, -id_bits)])
     entry_bits = id_bits + 1
@@ -321,9 +322,9 @@ def _spelled_model(labels: dict[int, AdjacencyLabel]) -> SignedTreeModel:
         top, h, ids, counts, blocks, _ = _read(label.data, label.nbits)
         if head is None:
             head = top
-            if head >> 32 != n:
-                raise ValueError(f"preamble declares {head >> 32} vertices, found {n} labels")
-            id_bits = head >> 16 & 0xFFFF
+            declared, id_bits, _ = _preamble(head)
+            if declared != n:
+                raise ValueError(f"preamble declares {declared} vertices, found {n} labels")
             id_mask = (1 << id_bits) - 1
         elif top != head:
             raise ValueError("labels come from different encodings")
@@ -375,7 +376,8 @@ def label_graph(g: Graph, w: SddWitness) -> dict[int, AdjacencyLabel]:
     # edge-count bound; keep the certificate honest.
     pairs = len(balanced.green | balanced.blue)
     first = next(iter(labels.values()))
-    scheme_width = _read(first.data, first.nbits)[0] & 0xFFFF
+    head, *_ = _read(first.data, first.nbits)
+    _, _, scheme_width = _preamble(head)
     assert scheme_width <= width_bound(pairs), (scheme_width, pairs)
     return labels
 
@@ -395,9 +397,12 @@ def label_stats(labels: dict[int, AdjacencyLabel]) -> LabelStats:
         raise ValueError("no labels")
     sizes = [l.nbits for l in labels.values()]
     first = next(iter(labels.values()))
-    head = _read(first.data, first.nbits)[0]
-    h = max(_read(l.data, l.nbits)[1] for l in labels.values())
-    bound = layout_bound(head >> 32, head >> 16 & 0xFFFF, head & 0xFFFF, h)
+    head, *_ = _read(first.data, first.nbits)
+    h = 0
+    for label in labels.values():
+        _, depth, *_ = _read(label.data, label.nbits)
+        h = max(h, depth)
+    bound = layout_bound(*_preamble(head), h)
     mx = max(sizes)
     return LabelStats(mx, sum(sizes) / len(sizes), bound, mx / bound)
 
@@ -407,8 +412,9 @@ def save_labels(labels: dict[int, AdjacencyLabel]) -> str:
     if not labels:
         raise ValueError("no labels")
     first = next(iter(labels.values()))
-    head = _read(first.data, first.nbits)[0]
-    lines = [f"p lbl {head >> 32} {head >> 16 & 0xFFFF} {head & 0xFFFF}"]
+    head, *_ = _read(first.data, first.nbits)
+    n, id_bits, width = _preamble(head)
+    lines = [f"p lbl {n} {id_bits} {width}"]
     for v in sorted(labels):
         lines.append(f"l {v} {labels[v].hex()}")
     return "\n".join(lines) + "\n"
@@ -458,15 +464,14 @@ def load_labels(text: str) -> dict[int, AdjacencyLabel]:
                 raise ValueError(f"line {lineno}: repeated vertex {v}")
             if len(data) * 8 < PREAMBLE_BITS:
                 raise ValueError(f"line {lineno}: label shorter than its preamble")
-            pre = int.from_bytes(data[: PREAMBLE_BITS // 8], "big")
-            got = (pre >> 32, (pre >> 16) & 0xFFFF, pre & 0xFFFF)
+            got = _preamble(int.from_bytes(data[: PREAMBLE_BITS // 8], "big"))
             if got != header:
                 raise ValueError(
                     f"line {lineno}: label preamble (n, id_bits, W) = {got} "
                     f"disagrees with header {header}"
                 )
             try:
-                nbits = _read(data, len(data) * 8, exact=False)[5]
+                *_, nbits = _read(data, len(data) * 8, exact=False)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             pad = len(data) * 8 - nbits

@@ -665,7 +665,7 @@ class TestDecodeMatrix:
 
     def test_cut_and_rekeyed_labels_raise(self):
         # decode_matrix reads fields straight from the bits; a label whose
-        # length is off raises the reader's message, and wrong keys raise too
+        # length is off raises the parse's message, and wrong keys raise too
         g, w = bench_instance("gnp", 40, 6, 1)
         labels = label_graph(g, w)
         cases = [
@@ -689,7 +689,7 @@ class TestDecodeMatrix:
                 ]
             )
             try:
-                _read(cut.data, cut.nbits)
+                exact_parse(cut)
                 want = g.edges()
             except ValueError as exc:
                 want = str(exc)
