@@ -642,9 +642,7 @@ def build_sdd_reduction(phi: CnfFormula) -> ReductionMap:
     for j in range(m):
         edges.append((clause_block[j]["bot"], gamma))
 
-    g = Graph(next_id, edges)
-
-    # rule 3: transition neighborhoods, derived from the graph built so far
+    # rule 3: transition neighborhoods
     for i in range(1, nv + 1):
         blk = var_block[i]
         neg_clauses = [j for j, c in enumerate(phi.clauses) if -i in c]
@@ -680,9 +678,9 @@ def build_sdd_reduction(phi: CnfFormula) -> ReductionMap:
                 hops.append(frozenset(cur))
         assert len(hops) == 2 * blk["p"] - 1
         for tv, nb in zip(blk["ts"], hops):
-            for w in sorted(nb):
-                g.add_edge(tv, w)
+            edges.extend((tv, w) for w in sorted(nb))
 
+    g = Graph(next_id, edges)
     meta = {
         "kind": "sdd",
         "num_vars": nv,

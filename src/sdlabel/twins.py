@@ -213,14 +213,35 @@ def find_diverse_subgraph(g: Graph, d: int, limit: int = SUBSET_SEARCH_LIMIT):
     return None
 
 
-def _pairs_beat(diff, chosen, mask: int, best: int) -> bool:
-    """True iff every pair u, v of ``chosen`` has |diff[u][v] & mask| > best."""
-    for k, u in enumerate(chosen):
-        row = diff[u]
-        for v in chosen[k + 1 :]:
-            if (row[v] & mask).bit_count() <= best:
-                return False
-    return True
+def _forward_check(diff, chosen, avail: int, i: int, best: int) -> int:
+    """``avail`` less every undecided vertex that can no longer join, or 0.
+
+    The undecided vertices are those of ``avail`` from i up.  One of them,
+    j, cannot join ``chosen`` once some chosen u has |diff[j][u] & avail|
+    <= best, since no set between the two would then beat best.  Dropping
+    j shrinks avail and may fail more pairs, so the pass repeats until
+    nothing drops.  0, a branch that cannot beat best, comes back once a
+    chosen pair has |diff & avail| <= best or |avail| < best + 3.
+    """
+    floor = best + 3
+    while avail.bit_count() >= floor:
+        for k, u in enumerate(chosen):
+            row = diff[u]
+            for v in chosen[k + 1 :]:
+                if (row[v] & avail).bit_count() <= best:
+                    return 0
+        cut = 0
+        for j in range(i, len(diff)):
+            if avail >> j & 1:
+                row = diff[j]
+                for u in chosen:
+                    if (row[u] & avail).bit_count() <= best:
+                        cut |= 1 << j
+                        break
+        if not cut:
+            return avail
+        avail ^= cut
+    return 0
 
 
 def sd_exact(g: Graph, limit: int = SUBSET_SEARCH_LIMIT) -> int:
@@ -234,10 +255,13 @@ def sd_exact(g: Graph, limit: int = SUBSET_SEARCH_LIMIT) -> int:
     branch holds the chosen vertices and ``avail``, the chosen plus the
     undecided ones; every set it can reach lies between the two, so it is
     dropped once some chosen pair has |diff & avail| <= best, or once
-    |avail| < best + 3 (min pair sd <= |S| - 2).  Each leaf reached thus
-    beats ``best`` and replaces it.  The search keeps an explicit stack,
-    so a raised ``limit`` never meets the interpreter's recursion limit;
-    the worst case stays exponential.
+    |avail| < best + 3 (min pair sd <= |S| - 2).  Forward checking drops
+    from ``avail`` each undecided vertex that some chosen vertex already
+    rules out, until none is left to drop (see _forward_check), and the
+    descent skips the dropped vertices.  Each leaf reached thus beats
+    ``best`` and replaces it.  The search keeps an explicit stack, so a
+    raised ``limit`` never meets the interpreter's recursion limit; the
+    worst case stays exponential.
     """
     n = g.n
     if n < 2:
@@ -250,34 +274,39 @@ def sd_exact(g: Graph, limit: int = SUBSET_SEARCH_LIMIT) -> int:
         for u in range(n)
     ]
     best = 0  # any 2-subset has min pair sd exactly 0
-    # Each entry is a branch whose pairs are rechecked on entry, since best
-    # may have risen since it was pushed: (next vertex, chosen, avail).
+    # Each entry is an exclude branch, checked whole on entry: best may have
+    # risen since it was pushed, and avail has lost a vertex.  Entries are
+    # (next vertex, chosen, avail); the vertices of avail below the next
+    # vertex are exactly the chosen ones.
     stack = [(0, (), (1 << n) - 1)]
     while stack:
         i, chosen, avail = stack.pop()
-        if not _pairs_beat(diff, chosen, avail, best):
-            continue
+        avail = _forward_check(diff, chosen, avail, i, best)
         # Descend through includes; each step leaves its exclude to the stack.
         while avail.bit_count() >= best + 3:
-            if i == n:  # avail == chosen, and every pair beats best
+            rest = avail >> i
+            if not rest:  # avail == chosen, and every pair beats best
                 best = min(
                     (diff[u][v] & avail).bit_count()
                     for k, u in enumerate(chosen)
                     for v in chosen[k + 1 :]
                 )
                 break
-            stack.append((i + 1, chosen, avail & ~(1 << i)))
-            # Include i if every new pair (i, u) beats best; otherwise the
-            # exclude entry just pushed is the next branch popped.
+            i += (rest & -rest).bit_length() - 1  # the next undecided vertex
+            if avail.bit_count() > best + 3:  # else its exclude is too small
+                stack.append((i + 1, chosen, avail ^ (1 << i)))
+            # Forward checking has passed every pair (i, u), and including i
+            # keeps avail and best, so only the pairs (j, i) of the undecided
+            # j are new; the whole pass reruns only if one of them fails.
+            chosen += (i,)
             row = diff[i]
-            for u in chosen:
-                if (row[u] & avail).bit_count() <= best:
-                    break
-            else:
-                chosen += (i,)
-                i += 1
-                continue
-            break
+            cut = 0
+            for j in range(i + 1, n):
+                if avail >> j & 1 and (row[j] & avail).bit_count() <= best:
+                    cut |= 1 << j
+            i += 1
+            if cut:
+                avail = _forward_check(diff, chosen, avail ^ cut, i, best)
     return best
 
 
@@ -376,6 +405,20 @@ def sdd_greedy_escalate(g: Graph) -> SddWitness:
         return SddWitness(0, ())
     masks = g.neighbor_masks()
     floors = _floors(g)
+    d = _least_pair_sd(masks, floors)
+    while True:
+        steps = _greedy_steps(masks, n, d, floors)
+        if steps is not None:
+            return SddWitness(d, tuple(steps))
+        d += 1
+
+
+def _least_pair_sd(masks, floors) -> int:
+    """The least sd over all pairs (n >= 2), with every sd floor filled.
+
+    Only the floors not yet cached cost a row scan.
+    """
+    n = len(masks)
     # sd(u, v) = |N[u] ^ N(v)| - 1: the closed N[u] and the open N(v)
     # differ in exactly one of the bits u, v.
     for u in range(n - 1):
@@ -383,12 +426,7 @@ def sdd_greedy_escalate(g: Graph) -> SddWitness:
             closed = masks[u] | (1 << u)
             floors[u] = min((closed ^ m).bit_count() for m in masks[u + 1 :]) - 1
     floors[-1] = n  # no vertex lies above the last one
-    d = min(floors)
-    while True:
-        steps = _greedy_steps(masks, n, d, floors)
-        if steps is not None:
-            return SddWitness(d, tuple(steps))
-        d += 1
+    return min(floors)
 
 
 def _greedy_steps(masks, n: int, d: int, floors=None):
@@ -573,9 +611,14 @@ def _witness_search(masks, n: int, d: int):
 def sdd_exact(g: Graph, limit: int = SDD_SEARCH_LIMIT) -> tuple[int, SddWitness]:
     """Exact sd-degeneracy with a witness, by binary search on d.
 
-    Each level is decided by reachability over remaining-vertex-set states
-    (see _witness_search).  The default limit keeps refutations desk-scale;
-    raise it only for instances known to carry an easy witness.
+    The search runs only between two bounds.  No level below the least
+    pair sd has a first step, and the sdd_greedy_escalate level has a
+    witness.  Each level between them is decided by reachability over
+    remaining-vertex-set states (see _witness_search), and the witness
+    returned is that search's at the answer.  At the greedy level this is
+    the greedy's own steps, since the search's first descent follows the
+    greedy rule.  The default limit keeps refutations desk-scale; raise it
+    only for instances known to carry an easy witness.
     """
     n = g.n
     if n < 1:
@@ -584,20 +627,19 @@ def sdd_exact(g: Graph, limit: int = SDD_SEARCH_LIMIT) -> tuple[int, SddWitness]
         raise ValueError(f"graph too large for exhaustive search ({n} > {limit})")
     if n == 1:
         return 0, SddWitness(0, ())
+    w = sdd_greedy_escalate(g)
     masks = g.neighbor_masks()
-    hi = n - 2  # every pair is an (n-2)-twin, so level n-2 always succeeds
-    best_steps = _witness_search(masks, n, hi)
-    assert best_steps is not None
-    lo = 0
+    lo = _least_pair_sd(masks, _floors(g))  # cached by the escalation
+    hi = w.d
     while lo < hi:
         mid = (lo + hi) // 2
         got = _witness_search(masks, n, mid)
         if got is not None:
             hi = mid
-            best_steps = got
+            w = SddWitness(mid, tuple(got))
         else:
             lo = mid + 1
-    return hi, SddWitness(hi, tuple(best_steps))
+    return hi, w
 
 
 def embed_sdd1(g: Graph) -> tuple[Graph, SddWitness, tuple[int, ...]]:

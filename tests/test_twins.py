@@ -26,7 +26,7 @@ from sdlabel import (
     sdd_greedy,
 )
 
-from sdlabel.twins import _has_twin_pair
+from sdlabel.twins import _has_twin_pair, _witness_search
 
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -59,6 +59,78 @@ def reference_sd_exact(g):
             while not _has_twin_pair(masks, combo, best):
                 best += 1
     return best
+
+
+def reference_sd_branch_and_bound(g):
+    """sd_exact before forward checking: the same branch and bound, but
+    an undecided vertex leaves ``avail`` only when the search reaches it
+    and excludes it."""
+    masks = g.neighbor_masks()
+    n = g.n
+    diff = [
+        [(masks[u] ^ masks[v]) & ~((1 << u) | (1 << v)) for v in range(n)]
+        for u in range(n)
+    ]
+
+    def pairs_beat(chosen, mask, best):
+        for k, u in enumerate(chosen):
+            row = diff[u]
+            for v in chosen[k + 1 :]:
+                if (row[v] & mask).bit_count() <= best:
+                    return False
+        return True
+
+    best = 0
+    stack = [(0, (), (1 << n) - 1)]
+    while stack:
+        i, chosen, avail = stack.pop()
+        if not pairs_beat(chosen, avail, best):
+            continue
+        while avail.bit_count() >= best + 3:
+            if i == n:
+                best = min(
+                    (diff[u][v] & avail).bit_count()
+                    for k, u in enumerate(chosen)
+                    for v in chosen[k + 1 :]
+                )
+                break
+            stack.append((i + 1, chosen, avail & ~(1 << i)))
+            row = diff[i]
+            for u in chosen:
+                if (row[u] & avail).bit_count() <= best:
+                    break
+            else:
+                chosen += (i,)
+                i += 1
+                continue
+            break
+    return best
+
+
+def reference_sdd_exact(g):
+    """The former sdd_exact: bisect the level from [0, n - 2], keeping the
+    witness of the last level that _witness_search decides yes."""
+    n = g.n
+    masks = g.neighbor_masks()
+    lo, hi = 0, n - 2  # every pair is an (n-2)-twin
+    steps = _witness_search(masks, n, hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        got = _witness_search(masks, n, mid)
+        if got is not None:
+            hi, steps = mid, got
+        else:
+            lo = mid + 1
+    return hi, SddWitness(hi, tuple(steps))
+
+
+def gnp_grid():
+    """TestSdExactBranchAndBound's 312 G(n, p): 13 orders times 24
+    densities, each pair met once."""
+    for seed in range(312):
+        n = 2 + seed % 13  # n = 2..14
+        p = 0.05 + 0.9 * (seed * 7 % 24) / 23  # 24 densities in [0.05, 0.95]
+        yield n, p, seed, gen_gnp(n, p, seed)
 
 
 def frame_depth():
@@ -229,6 +301,20 @@ class TestSdExactBranchAndBound:
                 g = gen_gnp(14, p, seed)
                 assert sd_exact(g) == reference_sd_exact(g), (p, seed)
 
+    def test_matches_branch_and_bound_reference_past_the_limit(self):
+        # the subset scan of reference_sd_exact is too slow past n = 16
+        for n in range(15, 25):
+            for p in (0.2, 0.3, 0.4, 0.5):
+                for seed in (1, 2, 3):
+                    g = gen_gnp(n, p, seed)
+                    want = reference_sd_branch_and_bound(g)
+                    assert sd_exact(g, limit=n) == want, (n, p, seed)
+
+    def test_branch_and_bound_reference_matches_subset_scan(self):
+        for n, p, seed, g in gnp_grid():
+            want = reference_sd_exact(g)
+            assert reference_sd_branch_and_bound(g) == want, (n, p, seed)
+
     def test_raised_limit_needs_no_recursion(self):
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(frame_depth() + 40)
@@ -265,6 +351,20 @@ class TestSddExact:
             from sdlabel.twins import _witness_search
 
             assert _witness_search(g.neighbor_masks(), g.n, d - 1) is None
+
+    def test_matches_reference_on_gnp(self):
+        for n, p, seed, g in gnp_grid():
+            assert sdd_exact(g) == reference_sdd_exact(g), (n, p, seed)
+
+    @pytest.mark.parametrize("k", range(4, 10))
+    def test_matches_reference_on_shift(self, k):
+        g = gen_shift(k)  # k(k-1)/2 vertices: 36 at k = 9
+        assert sdd_exact(g, limit=g.n) == reference_sdd_exact(g)
+
+    @pytest.mark.parametrize("a,b", [(3, 3), (3, 4), (4, 3), (4, 4)])
+    def test_matches_reference_on_rook(self, a, b):
+        g = gen_rook(a, b)
+        assert sdd_exact(g) == reference_sdd_exact(g)
 
     def test_embed_outputs_are_one(self):
         for seed in range(6):
