@@ -93,11 +93,8 @@ def _covers(m: SignedTreeModel, tree: SignedTreeModel) -> list[tuple[int, ...]]:
     cover: list = [None] * m.n_nodes
     for leaf, at in zip(m.leaf_order(), tree.leaf_order()):
         cover[leaf] = (at,)
-    preorder = [0] * m.n_nodes
-    for node, t in enumerate(m.tin):
-        preorder[t] = node
     children = m.children
-    for node in reversed(preorder):  # children before their parent
+    for node in reversed(m.preorder):  # children before their parent
         ch = children[node]
         if ch is not None:
             stack = list(cover[ch[0]])

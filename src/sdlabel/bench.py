@@ -76,10 +76,14 @@ def bench_row(family: str, n: int, d: int, seed: int) -> str:
     g, w = bench_instance(family, n, d, seed)
     m = model.make_clean(model.stm_from_witness(g, w))
     b = model.make_clean(balance.shallowise(m, w.d + 1))
-    st = labeling.label_stats(labeling.encode(b))
+    labels = labeling.encode(b)
+    st = labeling.label_stats(labels)
+    # encode peels b's pair graph, and its preamble carries the width W
+    head = next(iter(labels.values())).data[: labeling.PREAMBLE_BITS // 8]
+    _, _, balanced_width = labeling._preamble(int.from_bytes(head, "big"))
     ratio = st.max_bits / (math.sqrt((w.d + 1) * g.n) * math.log2(g.n) ** 3)
     return (
-        f"{family},{g.n},{w.d},{seed},{model.width(m)},{model.width(b)},"
+        f"{family},{g.n},{w.d},{seed},{model.width(m)},{balanced_width},"
         f"{st.max_bits},{st.bound_bits},{ratio:.6f}"
     )
 

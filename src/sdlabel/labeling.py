@@ -145,16 +145,13 @@ def encode(m: SignedTreeModel) -> dict[int, AdjacencyLabel]:
     preamble = (n << 32) | (id_bits << 16) | width
     bound = [layout_bound(n, id_bits, width, h) for h in range(h_max + 1)]
     parent, leaf_vertex = m.parent, m.leaf_vertex
-    preorder = [0] * n_nodes
-    for node, t in enumerate(m.tin):
-        preorder[t] = node
     # Per node: its root path's ids, and its blocks root first with their
     # bit count.  A parent precedes its children in preorder.
     path_ids = [0] * n_nodes
     blocks = [0] * n_nodes
     block_bits = [0] * n_nodes
     labels = {}
-    for node in preorder:  # leaves come left to right
+    for node in m.preorder:  # leaves come left to right
         count = counts[node]
         assert count <= width
         bits = count * entry_bits

@@ -14,11 +14,12 @@ the label decoder on two parsed labels.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, degeneracy
+from .graph import Graph, degeneracy, reject_non_integer
 from .twins import SddWitness
 
 __all__ = [
@@ -49,7 +50,7 @@ def _norm(a: int, b: int) -> tuple[int, int]:
 # Fields fixed by the tree alone; SignedTreeModel._with shares them.
 _TREE_FIELDS = (
     "children", "parent", "root", "n_nodes", "n_leaves",
-    "tin", "tout", "depth", "_leaf_order", "_intervals",
+    "tin", "tout", "preorder", "depth", "_leaf_order", "_intervals",
 )
 
 
@@ -102,23 +103,22 @@ class SignedTreeModel:
         self.n_leaves = sum(1 for c in children if c is None)
 
         # Euler tour (left child first): tin/tout index ranges give O(1)
-        # ancestor tests; also fixes the left-to-right leaf order.
+        # ancestor tests, preorder[t] is the node entered at time t, and
+        # the tour fixes the left-to-right leaf order.
         tin = [-1] * n_nodes
         tout = [-1] * n_nodes
         depth = [0] * n_nodes
+        preorder = []
         leaf_order = []
-        clock = 0
         stack = [(self.root, 0, False)]
-        seen = 0
         while stack:
             node, dep, done = stack.pop()
             if done:
-                tout[node] = clock - 1
+                tout[node] = len(preorder) - 1
                 continue
-            tin[node] = clock
-            clock += 1
+            tin[node] = len(preorder)
+            preorder.append(node)
             depth[node] = dep
-            seen += 1
             ch = children[node]
             if ch is None:
                 tout[node] = tin[node]
@@ -127,10 +127,11 @@ class SignedTreeModel:
                 stack.append((node, dep, True))
                 stack.append((ch[1], dep + 1, False))
                 stack.append((ch[0], dep + 1, False))
-        if seen != n_nodes:
+        if len(preorder) != n_nodes:
             raise ValueError("tree has unreachable nodes")
         self.tin = tuple(tin)
         self.tout = tuple(tout)
+        self.preorder = tuple(preorder)
         self.depth = tuple(depth)
         self._leaf_order = tuple(leaf_order)
         self._paths = None
@@ -244,16 +245,13 @@ class SignedTreeModel:
     def node_intervals(self) -> tuple[tuple[int, int], ...]:
         """Per node, the (lo, hi) 1-based range of leaf positions below it."""
         if self._intervals is None:
-            preorder = [0] * self.n_nodes
-            for node, t in enumerate(self.tin):
-                preorder[t] = node
             lo = [0] * self.n_nodes
             hi = [0] * self.n_nodes
             for k, leaf in enumerate(self._leaf_order, start=1):
                 lo[leaf] = hi[leaf] = k
             # Children come after their parent in preorder, and the tour
             # visits the left child first.
-            for node in reversed(preorder):
+            for node in reversed(self.preorder):
                 ch = self.children[node]
                 if ch is not None:
                     lo[node] = lo[ch[0]]
@@ -276,82 +274,39 @@ class ResolvedEdge:
     color: str
 
 
-class _Fenwick:
-    __slots__ = ("n", "t")
-
-    def __init__(self, n):
-        self.n = n
-        self.t = [0] * (n + 1)
-
-    def add(self, i, delta):
-        i += 1
-        while i <= self.n:
-            self.t[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i):  # sum of [0, i]
-        i += 1
-        s = 0
-        while i > 0:
-            s += self.t[i]
-            i -= i & (-i)
-        return s
-
-    def range_sum(self, lo, hi):
-        if lo > hi:
-            return 0
-        return self.prefix(hi) - (self.prefix(lo - 1) if lo > 0 else 0)
-
-
 def _find_crossing(m: SignedTreeModel):
     """One crossing pair of signed pairs, or None.
 
     Two transversal pairs cross iff each has an endpoint strictly below an
-    endpoint of the other (with all four endpoints distinct).  Sweeping the
-    tree depth first, a pair {b, c} crosses some {a, d} with a strictly
-    above b iff d lies strictly inside the subtree of c; active partner
-    positions are kept in a Fenwick tree indexed by Euler time.
+    endpoint of the other (with all four endpoints distinct).  Walking the
+    tree in preorder, a pair {b, c} crosses some {a, d} with a strictly
+    above b iff d lies strictly inside the subtree of c.  The open nodes'
+    pairs sit in one sorted list as (Euler time of the partner, minus that
+    of the owner, pair), so one bisect finds the first partner past c,
+    under the deepest owner; a node's pairs leave the list once the walk
+    passes its tout.
     """
-    pairs = sorted(set(m.green) | set(m.blue))
-    if len(pairs) < 2:
-        return None
+    tin, tout = m.tin, m.tout
     at_node = defaultdict(list)
-    for p in pairs:
+    for p in sorted(m.green | m.blue):
         a, b = p
         at_node[a].append((p, b))
         at_node[b].append((p, a))
-    fw = _Fenwick(m.n_nodes)
-    active = defaultdict(list)  # euler position of partner -> pairs
-    result = None
-
-    stack = [(m.root, False)]
-    while stack and result is None:
-        node, done = stack.pop()
+    active = []
+    closing = defaultdict(list)  # tout -> the entries its node put in active
+    for t, node in enumerate(m.preorder):
+        for entry in closing.pop(t - 1, ()):
+            del active[bisect_left(active, entry)]
         entries = at_node.get(node, ())
-        if done:
-            for p, c in entries:
-                fw.add(m.tin[c], -1)
-                active[m.tin[c]].pop()
-            continue
         for q, c in entries:
-            lo, hi = m.tin[c] + 1, m.tout[c]
-            if fw.range_sum(lo, hi) > 0:
-                for posn in range(lo, hi + 1):
-                    if active.get(posn):
-                        result = (active[posn][-1], q)
-                        break
-                break
-        if result is not None:
-            break
+            i = bisect_left(active, (tin[c] + 1,))
+            if i < len(active) and active[i][0] <= tout[c]:
+                return active[i][2], q
         for p, c in entries:
-            fw.add(m.tin[c], +1)
-            active[m.tin[c]].append(p)
-        stack.append((node, True))
-        ch = m.children[node]
-        if ch is not None:
-            stack.append((ch[1], False))
-            stack.append((ch[0], False))
-    return result
+            entry = (tin[c], -t, p)
+            insort(active, entry)
+            closing[tout[node]].append(entry)
+    return None
 
 
 def validate(m: SignedTreeModel) -> tuple[bool, list[str]]:
@@ -464,6 +419,8 @@ def resolve(m: SignedTreeModel, u: int, v: int) -> ResolvedEdge:
     or if two do at the same depth (crossing pairs).
     """
     for x in (u, v):
+        if type(x) is not int:
+            reject_non_integer(x)
         if not 0 <= x < m.n_leaves:
             raise ValueError(f"vertex {x} out of range [0, {m.n_leaves})")
     if u == v:

@@ -221,9 +221,9 @@ def _forward_check(diff, chosen, avail: int, i: int, best: int) -> int:
     <= best, since no set between the two would then beat best.  Dropping
     j shrinks avail and may fail more pairs, so the pass repeats until
     nothing drops.  0, a branch that cannot beat best, comes back once a
-    chosen pair has |diff & avail| <= best or |avail| < best + 3.
+    chosen pair has |diff & avail| <= best or |avail| < best + 4.
     """
-    floor = best + 3
+    floor = best + 4
     while avail.bit_count() >= floor:
         for k, u in enumerate(chosen):
             row = diff[u]
@@ -255,13 +255,14 @@ def sd_exact(g: Graph, limit: int = SUBSET_SEARCH_LIMIT) -> int:
     branch holds the chosen vertices and ``avail``, the chosen plus the
     undecided ones; every set it can reach lies between the two, so it is
     dropped once some chosen pair has |diff & avail| <= best, or once
-    |avail| < best + 3 (min pair sd <= |S| - 2).  Forward checking drops
-    from ``avail`` each undecided vertex that some chosen vertex already
-    rules out, until none is left to drop (see _forward_check), and the
-    descent skips the dropped vertices.  Each leaf reached thus beats
-    ``best`` and replaces it.  The search keeps an explicit stack, so a
-    raised ``limit`` never meets the interpreter's recursion limit; the
-    worst case stays exponential.
+    |avail| < best + 4: among any three vertices, some pair has the third
+    adjacent to both or to neither, so a set S with |S| >= 3 has min pair
+    sd <= |S| - 3.  Forward checking drops from ``avail`` each undecided
+    vertex that some chosen vertex already rules out, until none is left
+    to drop (see _forward_check), and the descent skips the dropped
+    vertices.  Each leaf reached thus beats ``best`` and replaces it.  The
+    search keeps an explicit stack, so a raised ``limit`` never meets the
+    interpreter's recursion limit; the worst case stays exponential.
     """
     n = g.n
     if n < 2:
@@ -283,7 +284,7 @@ def sd_exact(g: Graph, limit: int = SUBSET_SEARCH_LIMIT) -> int:
         i, chosen, avail = stack.pop()
         avail = _forward_check(diff, chosen, avail, i, best)
         # Descend through includes; each step leaves its exclude to the stack.
-        while avail.bit_count() >= best + 3:
+        while avail.bit_count() >= best + 4:
             rest = avail >> i
             if not rest:  # avail == chosen, and every pair beats best
                 best = min(
@@ -293,7 +294,7 @@ def sd_exact(g: Graph, limit: int = SUBSET_SEARCH_LIMIT) -> int:
                 )
                 break
             i += (rest & -rest).bit_length() - 1  # the next undecided vertex
-            if avail.bit_count() > best + 3:  # else its exclude is too small
+            if avail.bit_count() > best + 4:  # else its exclude is too small
                 stack.append((i + 1, chosen, avail ^ (1 << i)))
             # Forward checking has passed every pair (i, u), and including i
             # keeps avail and best, so only the pairs (j, i) of the undecided
@@ -721,6 +722,8 @@ def load_witness(text: str) -> SddWitness:
                 d, declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed header {line!r}") from None
+            if d < 0:
+                raise ValueError(f"line {lineno}: negative level in header {line!r}")
         elif parts[0] == "x":
             if d is None:
                 raise ValueError(f"line {lineno}: step before header")

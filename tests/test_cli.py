@@ -282,6 +282,15 @@ class TestUsage:
         code, _, err = run(capsys, "sd", "--exact", str(g))
         assert code == 1 and "self-loop" in err
 
+    def test_negative_witness_level_is_one_line(self, tmp_path, capsys):
+        g = tmp_path / "g.el"
+        g.write_text("p el 1 0\n")
+        w = tmp_path / "w.ord"
+        w.write_text("w sdd -3 0\n")
+        code, out, err = run(capsys, "model", str(g), str(w))
+        assert code == 1 and out == ""
+        assert err == "error: line 1: negative level in header 'w sdd -3 0'\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "sd", "--exact", "/nonexistent/path.el")
         assert code == 1

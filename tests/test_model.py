@@ -1,10 +1,11 @@
 """Signed tree models: validity, realization, cleaning, constructions."""
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdlabel import Graph, check_witness, embed_sdd1, gen_gnp, sdd_exact
 from sdlabel.balance import shallowise
@@ -59,6 +60,80 @@ def reference_pairs_cross(m, p, q):
         or (s(u, b) and s(a, v))
         or (s(b, u) and s(v, a))
     )
+
+
+class _Fenwick:
+    __slots__ = ("n", "t")
+
+    def __init__(self, n):
+        self.n = n
+        self.t = [0] * (n + 1)
+
+    def add(self, i, delta):
+        i += 1
+        while i <= self.n:
+            self.t[i] += delta
+            i += i & (-i)
+
+    def prefix(self, i):  # sum of [0, i]
+        i += 1
+        s = 0
+        while i > 0:
+            s += self.t[i]
+            i -= i & (-i)
+        return s
+
+    def range_sum(self, lo, hi):
+        if lo > hi:
+            return 0
+        return self.prefix(hi) - (self.prefix(lo - 1) if lo > 0 else 0)
+
+
+def reference_find_crossing(m):
+    """The former crossing sweep of validate: a stack DFS that keeps the
+    open nodes' partner Euler times in a Fenwick tree and scans the
+    subtree range for the first one.  Returns (open pair, entered pair)
+    or None, the pair validate names."""
+    pairs = sorted(set(m.green) | set(m.blue))
+    if len(pairs) < 2:
+        return None
+    at_node = defaultdict(list)
+    for p in pairs:
+        a, b = p
+        at_node[a].append((p, b))
+        at_node[b].append((p, a))
+    fw = _Fenwick(m.n_nodes)
+    active = defaultdict(list)  # euler position of partner -> pairs
+    result = None
+
+    stack = [(m.root, False)]
+    while stack and result is None:
+        node, done = stack.pop()
+        entries = at_node.get(node, ())
+        if done:
+            for p, c in entries:
+                fw.add(m.tin[c], -1)
+                active[m.tin[c]].pop()
+            continue
+        for q, c in entries:
+            lo, hi = m.tin[c] + 1, m.tout[c]
+            if fw.range_sum(lo, hi) > 0:
+                for posn in range(lo, hi + 1):
+                    if active.get(posn):
+                        result = (active[posn][-1], q)
+                        break
+                break
+        if result is not None:
+            break
+        for p, c in entries:
+            fw.add(m.tin[c], +1)
+            active[m.tin[c]].append(p)
+        stack.append((node, True))
+        ch = m.children[node]
+        if ch is not None:
+            stack.append((ch[1], False))
+            stack.append((ch[0], False))
+    return result
 
 
 def reference_resolve(m, u, v):
@@ -243,6 +318,43 @@ class TestValidate:
         ok, _ = validate(m)
         assert ok == (not brute)
 
+    @given(
+        st.sets(st.tuples(st.integers(0, 26), st.integers(0, 26)), max_size=16),
+        st.integers(min_value=0),
+    )
+    # entering leaf 4 with (4, 25), the open pairs (13, 19) and (13, 18)
+    # both end at leaf 13 below 25; the one owned deeper, at 18, is named
+    @example({(2, 6), (4, 25), (5, 24), (8, 24), (13, 18), (13, 19)}, 0)
+    @settings(max_examples=300)
+    def test_names_the_reference_crossing(self, raw, colors):
+        # transversal pairs on the 27-node figure tree, each green or blue
+        # by one bit of colors; validate names the pair the former sweep found
+        m0, _ = build_figure_model()
+        pairs = sorted(
+            {
+                (min(a, b), max(a, b))
+                for a, b in raw
+                if a != b and m0.is_transversal(a, b)
+            }
+        )
+        green = [p for k, p in enumerate(pairs) if colors >> k & 1]
+        blue = [p for k, p in enumerate(pairs) if not colors >> k & 1]
+        m = SignedTreeModel(m0.children, m0.leaf_vertex, green, blue)
+        want = reference_find_crossing(m)
+        expected = [] if want is None else [f"pairs {want[0]} and {want[1]} cross"]
+        assert validate(m) == (want is None, expected)
+
+    def test_corpus_models_do_not_cross(self, corpus):
+        for name, g, w in corpus:
+            m = make_clean(stm_from_witness(g, w))
+            b = make_clean(shallowise(m, w.d + 1))
+            for model in (m, b):
+                assert validate(model) == (True, []), name
+                assert reference_find_crossing(model) is None, name
+                assert [model.tin[x] for x in model.preorder] == list(
+                    range(model.n_nodes)
+                ), name
+
 
 class TestWidthSparsity:
     def test_empty_signed(self):
@@ -306,6 +418,13 @@ class TestRealizeResolve:
             resolve(mc, 0, 99)
         with pytest.raises(ValueError, match=r"^vertex -1 out of range \[0, 14\)$"):
             resolve(mc, -1, 0)
+
+    def test_resolve_vertex_must_be_an_integer(self, figure_model):
+        mc = make_clean(figure_model[0])
+        with pytest.raises(ValueError, match=r"^vertex must be an integer, got 1\.0$"):
+            resolve(mc, 1.0, 2)
+        with pytest.raises(ValueError, match=r"^vertex must be an integer, got 'a'$"):
+            resolve(mc, "a", 1)
 
     def test_resolve_needs_clean(self):
         m = SignedTreeModel([None, None, (0, 1)], [0, 1, -1])

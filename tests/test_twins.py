@@ -491,6 +491,7 @@ class TestWitnessFormat:
             ("w sdd 1 y\n", "line 1: malformed header 'w sdd 1 y'"),
             ("w sdd 1 2\nx 0 1\nx 0 y\n", "line 3: malformed step 'x 0 y'"),
             ("# c\nw sdd 1 1\nx z 1\n", "line 3: malformed step 'x z 1'"),
+            ("# c\nw sdd -3 0\n", "line 2: negative level in header 'w sdd -3 0'"),
         ],
     )
     def test_malformed_integer_names_line(self, text, message):
